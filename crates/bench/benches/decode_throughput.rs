@@ -1,13 +1,11 @@
-//! Criterion bench of the run-time controller: de-virtualization throughput,
-//! sequentially and with a worker pool (Section II-C notes the decode is
-//! parallelizable macro by macro), plus the zero-allocation scratch-reuse
-//! path and the streaming decode→write path.
+//! Criterion bench of the run-time controller: de-virtualization throughput
+//! of one MCNC circuit, one-shot and through the controller's pooled
+//! zero-allocation decode.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use vbs_bench::run_circuit;
 use vbs_bitstream::TaskBitstream;
-use vbs_core::{DecodeScratch, Devirtualizer, NullSink};
-use vbs_runtime::{devirtualize_into, ReconfigurationController};
+use vbs_runtime::ReconfigurationController;
 
 fn decode_throughput(c: &mut Criterion) {
     let circuit = vbs_netlist::mcnc::by_name("s298").expect("table entry");
@@ -17,45 +15,16 @@ fn decode_throughput(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("decode");
     group.sample_size(20);
-    for workers in [1usize, 4] {
-        let controller = ReconfigurationController::new(device.clone()).with_workers(workers);
-        group.bench_with_input(
-            BenchmarkId::new("devirtualize", workers),
-            &workers,
-            |b, _| b.iter(|| controller.devirtualize(&vbs).expect("decode")),
-        );
-    }
+    let controller = ReconfigurationController::new(device);
+    group.bench_function("devirtualize", |b| {
+        b.iter(|| controller.devirtualize(&vbs).expect("decode"))
+    });
 
     // Scratch reuse: steady-state zero-allocation decode into a recycled
     // buffer.
-    let mut scratch = DecodeScratch::new();
     let mut staging = TaskBitstream::empty(*vbs.spec(), 1, 1);
     group.bench_function("decode_into (scratch reuse)", |b| {
-        b.iter(|| devirtualize_into(&vbs, &mut staging, &mut scratch).expect("decode"))
-    });
-
-    // Streaming: frames pushed to a sink as each cluster record completes.
-    let devirt = Devirtualizer::new(&vbs).expect("devirtualizer");
-    group.bench_function("decode_streaming (null sink)", |b| {
-        b.iter(|| {
-            let mut sink = NullSink::default();
-            devirt
-                .decode_streaming(&mut staging, &mut scratch, &mut sink)
-                .expect("decode");
-            sink.frames
-        })
-    });
-
-    // Streaming into live configuration memory: decode→resident latency of
-    // a single load with writes overlapped (the decode scratch comes from
-    // the controller's pool).
-    let mut controller = ReconfigurationController::new(device);
-    group.bench_function("load_streaming (into memory)", |b| {
-        b.iter(|| {
-            controller
-                .load_streaming(&vbs, vbs_arch::Coord::new(0, 0), &mut staging)
-                .expect("load")
-        })
+        b.iter(|| controller.decode_into(&vbs, &mut staging).expect("decode"))
     });
     group.finish();
 }

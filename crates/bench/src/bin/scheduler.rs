@@ -7,7 +7,7 @@
 //! Multi-fabric mode (`--fabrics K` with K > 1) shards the same workload
 //! over a K-device fleet per shard policy, compares it against K
 //! *independent* single-fabric schedulers each facing the full stream, and
-//! reports per-fabric utilization, migrations and decode-pipeline overlap.
+//! reports per-fabric utilization and migrations.
 //!
 //! Usage: `cargo run --release -p vbs-bench --bin scheduler --
 //!         [--loads N] [--fabric WxH] [--seed S]

@@ -5,17 +5,18 @@
 //!
 //! * steady-state `decode_into` (warm scratch, recycled buffer) performs
 //!   **zero** heap allocations per load;
-//! * steady-state streaming loads (`load_streaming` into configuration
-//!   memory) also perform zero allocations;
-//! * steady-state **parallel** loads through the persistent multi-lane
-//!   [`vbs_runtime::DecodeWorkerPool`] (4 decode lanes, every scratch and
-//!   partial image drawn from a warm [`vbs_runtime::ScratchPool`]) perform
-//!   zero allocations per load, and the pool reports exactly one fresh
-//!   scratch per lane after warm-up;
-//! * steady-state parallel loads with a **live telemetry registry**
-//!   installed (per-lane spans, latency histograms and timeline events
-//!   recorded on every load) stay at zero allocations — recording is
-//!   relaxed atomics and preallocated ring slots;
+//! * steady-state loads through the controller —
+//!   `ReconfigurationController::decode_into` + `load_decoded` on the
+//!   controller's warm [`vbs_runtime::ScratchPool`], and the pooled
+//!   `load` — perform zero allocations per load, and the pool reports
+//!   exactly one fresh scratch after warm-up;
+//! * the **warm-tier re-decode** (the controller's `decode_into`
+//!   re-expanding a held stream into the arena a decode cache keeps) is
+//!   allocation-free;
+//! * steady-state loads with a **live telemetry registry** installed
+//!   (decode spans, latency histograms and timeline events recorded on
+//!   every load) stay at zero allocations — recording is relaxed atomics
+//!   and preallocated ring slots;
 //! * a **cold** decode pre-reserves its buffers from the VBS header, so the
 //!   first decode stays within a small per-buffer allocation budget instead
 //!   of growing buffers incrementally;
@@ -31,8 +32,8 @@
 
 use vbs_bench::{allocations, CountingAllocator};
 use vbs_bitstream::TaskBitstream;
-use vbs_core::DecodeScratch;
-use vbs_runtime::{devirtualize_into, ReconfigurationController};
+use vbs_core::{decode_into, DecodeScratch};
+use vbs_runtime::ReconfigurationController;
 use vbs_sched::BitstreamPool;
 use vbs_telemetry::{Stage, Telemetry};
 
@@ -49,9 +50,9 @@ fn decode_hot_path_allocation_budget() {
     // pre-reserve (regression for incremental Vec/HashMap growth: without
     // reservation this is hundreds of allocations).
     let mut scratch = DecodeScratch::new();
-    let mut staging = scratch.take_staging(*vbs.spec(), vbs.width(), vbs.height());
+    let mut staging = TaskBitstream::empty(*vbs.spec(), vbs.width(), vbs.height());
     let before = allocations();
-    devirtualize_into(&vbs, &mut staging, &mut scratch).expect("decode");
+    decode_into(&vbs, &mut staging, &mut scratch).expect("decode");
     let cold = allocations() - before;
     assert!(
         cold <= 24,
@@ -61,11 +62,11 @@ fn decode_hot_path_allocation_budget() {
 
     // --- Steady state: zero allocations per load, across repeats.
     for _ in 0..2 {
-        devirtualize_into(&vbs, &mut staging, &mut scratch).expect("decode");
+        decode_into(&vbs, &mut staging, &mut scratch).expect("decode");
     }
     let before = allocations();
     for _ in 0..50 {
-        devirtualize_into(&vbs, &mut staging, &mut scratch).expect("decode");
+        decode_into(&vbs, &mut staging, &mut scratch).expect("decode");
     }
     let steady = allocations() - before;
     assert_eq!(
@@ -73,79 +74,83 @@ fn decode_hot_path_allocation_budget() {
         "steady-state decode_into must not allocate (got {steady} over 50 loads)"
     );
 
-    // --- Steady-state streaming load into live configuration memory:
-    // decode plus frame writes (scratch from the controller's pool), still
-    // zero allocations.
-    let mut controller = ReconfigurationController::new(device.clone());
+    // --- The controller's load path: `decode_into` on the pooled scratch
+    // into a reused staging image, then `load_decoded`. After warm-up
+    // (the explicit `warm` plus two loads), zero allocations per load.
+    let mut controller = ReconfigurationController::new(device);
     let origin = vbs_arch::Coord::new(2, 3);
+    controller.warm(&vbs).expect("warm");
     for _ in 0..2 {
-        controller
-            .load_streaming(&vbs, origin, &mut staging)
-            .expect("load");
+        controller.decode_into(&vbs, &mut staging).expect("decode");
+        controller.load_decoded(&staging, origin).expect("load");
     }
     let before = allocations();
     for _ in 0..50 {
-        controller
-            .load_streaming(&vbs, origin, &mut staging)
-            .expect("load");
+        controller.decode_into(&vbs, &mut staging).expect("decode");
+        controller.load_decoded(&staging, origin).expect("load");
     }
     let steady = allocations() - before;
     assert_eq!(
         steady, 0,
-        "steady-state load_streaming must not allocate (got {steady} over 50 loads)"
+        "steady-state decode_into + load_decoded must not allocate (got {steady} over 50 loads)"
     );
-
-    // The loads actually configured the fabric.
     assert!(controller.memory().occupied_macros() > 0);
 
-    // --- Steady-state parallel loads: the persistent 4-lane worker pool
-    // runs the full decode→resident `load` path on pooled scratches and
-    // partial images. Warm-up (the explicit `warm` plus two loads) settles
-    // the pool; after that, zero allocations per load — dispatch is a
-    // condvar epoch bump, every buffer recycles.
-    let workers = 4usize;
-    let mut parallel = ReconfigurationController::new(device).with_workers(workers);
-    parallel.warm(&vbs).expect("warm");
-    for _ in 0..2 {
-        parallel.load(&vbs, origin).expect("load");
-    }
+    // --- The warm-tier re-decode: a decode cache demoted the stream's
+    // arena, and the next hit re-expands it through the same pooled
+    // `decode_into` into the arena the cache hands back.
+    let mut arena = TaskBitstream::empty(*vbs.spec(), 1, 1);
+    controller.decode_into(&vbs, &mut arena).expect("decode");
     let before = allocations();
     for _ in 0..50 {
-        parallel.load(&vbs, origin).expect("load");
+        controller.decode_into(&vbs, &mut arena).expect("redecode");
     }
     let steady = allocations() - before;
     assert_eq!(
         steady, 0,
-        "steady-state pooled parallel load must not allocate (got {steady} over 50 loads)"
+        "warm re-decode must not allocate (got {steady} over 50 re-decodes)"
     );
-    let stats = parallel.scratch_pool().stats();
+
+    // --- The pooled `load`: staging image and scratch both checked out of
+    // the controller's pool per load.
+    for _ in 0..2 {
+        controller.load(&vbs, origin).expect("load");
+    }
+    let before = allocations();
+    for _ in 0..50 {
+        controller.load(&vbs, origin).expect("load");
+    }
+    let steady = allocations() - before;
     assert_eq!(
-        stats.scratch_fresh, workers as u64,
-        "after warm-up the pool holds exactly one scratch per lane: {stats:?}"
+        steady, 0,
+        "steady-state pooled load must not allocate (got {steady} over 50 loads)"
+    );
+    let stats = controller.scratch_pool().stats();
+    assert_eq!(
+        stats.scratch_fresh, 1,
+        "after warm-up the pool holds exactly one scratch: {stats:?}"
     );
     assert_eq!(
-        stats.fresh,
-        workers as u64 + 1,
-        "one partial per lane plus the staging target: {stats:?}"
+        stats.fresh, 1,
+        "one staging buffer serves every pooled load: {stats:?}"
     );
-    assert!(parallel.memory().occupied_macros() > 0);
 
     // --- Telemetry recording on the hot path: install a *live* registry
-    // and repeat the pooled parallel loads. Histogram recording is a few
-    // relaxed atomic bumps, event recording writes into the ring's
-    // preallocated slots, spans clone an Arc — so the load path stays at
-    // zero steady-state allocations while every load leaves per-lane
-    // decode spans and events on the timeline.
+    // and repeat the pooled loads. Histogram recording is a few relaxed
+    // atomic bumps, event recording writes into the ring's preallocated
+    // slots, spans clone an Arc — so the load path stays at zero
+    // steady-state allocations while every load leaves decode spans and
+    // events on the timeline.
     let telemetry = Telemetry::new();
-    parallel.set_telemetry(telemetry.clone(), 0);
+    controller.set_telemetry(telemetry.clone(), 0);
     for _ in 0..2 {
-        parallel.load(&vbs, origin).expect("load");
+        controller.load(&vbs, origin).expect("load");
     }
     let recorded_before = telemetry.ring_stats().recorded;
     let lane_busy_before = telemetry.histogram(Stage::LaneBusy).count();
     let before = allocations();
     for _ in 0..50 {
-        parallel.load(&vbs, origin).expect("load");
+        controller.load(&vbs, origin).expect("load");
     }
     let steady = allocations() - before;
     assert_eq!(
@@ -160,7 +165,7 @@ fn decode_hot_path_allocation_budget() {
     );
     assert!(
         telemetry.histogram(Stage::LaneBusy).count() > lane_busy_before,
-        "instrumented loads record lane-busy spans"
+        "instrumented loads record decode busy spans"
     );
 
     // --- Shape-cycling reshapes: alternating tall/wide/larger rectangles
@@ -198,7 +203,7 @@ fn decode_hot_path_allocation_budget() {
         for i in 0..rounds * mix.len() {
             let vbs = &mix[i % mix.len()];
             let mut staging = pool.checkout(*vbs.spec(), vbs.width(), vbs.height());
-            devirtualize_into(vbs, &mut staging, scratch).expect("decode");
+            decode_into(vbs, &mut staging, scratch).expect("decode");
             pool.put(staging);
         }
     };

@@ -117,28 +117,6 @@ impl ConfigMemory {
         Ok(())
     }
 
-    /// Writes one frame at device-absolute coordinates `at`, overwriting
-    /// whatever was configured there — a single stride-wide word copy. This
-    /// is the primitive the streaming load path uses to begin configuring a
-    /// task before its whole stream is decoded; it performs no heap
-    /// allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` lies outside the device or `frame` belongs to a
-    /// different architecture — streaming writers validate the whole target
-    /// region (and share the device's architecture by construction) before
-    /// the first frame is emitted.
-    pub fn write_frame(&mut self, at: Coord, frame: FrameRef<'_>) {
-        assert_eq!(
-            self.store.spec(),
-            frame.spec(),
-            "streamed frame targets a different architecture than this memory"
-        );
-        let idx = self.index(at);
-        self.store.frame_mut(idx).copy_from(frame);
-    }
-
     /// Clears every frame of a rectangular region (task removal) — one
     /// `fill(0)` per fabric row.
     ///

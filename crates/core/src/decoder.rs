@@ -15,26 +15,19 @@
 //!   and may reuse each other's resources (fanout).
 //!
 //! Because every record only touches its own cluster, records can be decoded
-//! independently (and, in the run-time crate, in parallel).
+//! independently.
 //!
 //! # The zero-allocation hot path
 //!
 //! The paper's performance claim is that de-virtualization can run "as fast
 //! as the hardware allows", which means the software model must not spend
-//! its time in the allocator. Two pieces make that possible:
-//!
-//! * [`DecodeScratch`] — a reusable arena holding every buffer the decode
-//!   needs (the Dijkstra search state, the per-record net bookkeeping, the
-//!   claimed-wire list and an optional staging bit-stream). A warm scratch
-//!   makes [`Devirtualizer::decode_into`] perform **zero heap allocations**
-//!   per load; a cold scratch performs one allocation per buffer because
-//!   every buffer is pre-reserved from the VBS header before the first
-//!   record is expanded.
-//! * [`FrameSink`] — a push interface through which
-//!   [`Devirtualizer::decode_streaming`] emits each macro frame as soon as
-//!   its cluster record has been expanded, so a run-time controller can
-//!   begin configuration-memory writes long before the whole stream is
-//!   decoded.
+//! its time in the allocator. [`DecodeScratch`] is a reusable arena holding
+//! every buffer the decode needs (the Dijkstra search state, the per-record
+//! net bookkeeping and the claimed-wire list). A warm scratch makes
+//! [`Devirtualizer::decode_into`] perform **zero heap allocations** per
+//! load; a cold scratch performs one allocation per buffer because every
+//! buffer is pre-reserved from the VBS header before the first record is
+//! expanded.
 
 use crate::cluster::{ClusterGrid, ClusterIo};
 use crate::error::VbsError;
@@ -43,7 +36,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use vbs_arch::WireRef;
 use vbs_arch::{ArchSpec, Coord, Device, Rect};
-use vbs_bitstream::{edge_to_switch, FrameRef, SwitchSetting, TaskBitstream};
+use vbs_bitstream::{edge_to_switch, SwitchSetting, TaskBitstream};
 use vbs_route::{RrGraph, RrNode};
 
 /// Decodes a whole Virtual Bit-Stream into the raw bit-stream of the task
@@ -96,46 +89,6 @@ pub fn decode_into(
     Devirtualizer::new(vbs)?.decode_into(task, scratch)
 }
 
-/// A consumer of decoded configuration frames.
-///
-/// [`Devirtualizer::decode_streaming`] calls [`FrameSink::emit`] for every
-/// macro of the task rectangle, in two waves: the frames of a cluster are
-/// emitted as soon as that cluster's record has been expanded (so a run-time
-/// controller can overlap configuration-memory writes with the decode of the
-/// remaining records), and the frames of clusters with no record — which are
-/// all-zero — are emitted once at the end.
-///
-/// # Contract
-///
-/// * `at` is task-relative; the sink is responsible for translating it to a
-///   device position.
-/// * Every frame of the task rectangle is emitted **at least once**; the
-///   last emission of a coordinate carries its final content, so a sink
-///   that overwrites (rather than ORs) converges to exactly the buffered
-///   [`decode`] result.
-/// * Emission is infallible: callers that write to bounded memory must
-///   validate the whole target region *before* streaming starts.
-pub trait FrameSink {
-    /// Receives the (possibly final) frame of the macro at task-relative
-    /// coordinates `at`, as a borrowed view into the decoder's staging
-    /// arena.
-    fn emit(&mut self, at: Coord, frame: FrameRef<'_>);
-}
-
-/// A [`FrameSink`] that counts emitted frames and discards them — useful to
-/// measure pure decode throughput on the streaming path.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink {
-    /// Number of frames emitted so far.
-    pub frames: u64,
-}
-
-impl FrameSink for NullSink {
-    fn emit(&mut self, _at: Coord, _frame: FrameRef<'_>) {
-        self.frames += 1;
-    }
-}
-
 /// The reusable decode arena: every buffer the de-virtualization of one
 /// stream needs, kept warm across loads.
 ///
@@ -146,7 +99,7 @@ impl FrameSink for NullSink {
 ///   per-record state. Results are bit-identical to a fresh scratch.
 /// * A **warm** scratch (one that has already decoded a stream of at least
 ///   the same size) performs zero heap allocations in
-///   [`Devirtualizer::decode_into`] / [`Devirtualizer::decode_streaming`].
+///   [`Devirtualizer::decode_into`].
 /// * A **cold** scratch performs at most one allocation per internal buffer,
 ///   because every buffer is pre-reserved from the VBS header
 ///   (record/route counts, cluster size, device geometry) before decoding
@@ -160,8 +113,6 @@ pub struct DecodeScratch {
     nets: NetScratch,
     adj: AdjCache,
     claimed: Vec<WireRef>,
-    emitted: Vec<bool>,
-    staging: Option<TaskBitstream>,
 }
 
 impl DecodeScratch {
@@ -178,30 +129,11 @@ impl DecodeScratch {
         &self.claimed
     }
 
-    /// Takes the staging bit-stream out of the scratch, reshaped (in place,
-    /// reusing its allocations) to an all-empty `width` × `height` task of
-    /// `spec`. Return it with [`DecodeScratch::put_staging`] so the next
-    /// load reuses the buffer.
-    pub fn take_staging(&mut self, spec: ArchSpec, width: u16, height: u16) -> TaskBitstream {
-        let mut staging = self
-            .staging
-            .take()
-            .unwrap_or_else(|| TaskBitstream::empty(spec, 0, 0));
-        staging.reset(spec, width, height);
-        staging
-    }
-
-    /// Returns a staging bit-stream for reuse by the next decode.
-    pub fn put_staging(&mut self, staging: TaskBitstream) {
-        self.staging = Some(staging);
-    }
-
     /// Pre-reserves every internal buffer for decoding `vbs`, exactly as
     /// the first decode of that stream would — the **warm-up hook** of
-    /// scratch pools: a pool that parks several scratches can prepare each
-    /// of them up front, so whichever scratch a decode lane later checks
-    /// out is already warm and the decode performs zero heap allocations,
-    /// independent of which lanes happened to run during earlier loads.
+    /// scratch pools: a pool can prepare the scratch it parks up front, so
+    /// the first decode that checks it out already performs zero heap
+    /// allocations.
     ///
     /// # Errors
     ///
@@ -214,14 +146,13 @@ impl DecodeScratch {
     }
 
     /// Clears the per-load transient state (per-record net bookkeeping,
-    /// claimed-wire list, streaming emission map and the search worklists)
-    /// while keeping every buffer's capacity — the **recycling hook** pools
-    /// run before parking a scratch, so a scratch checked out later starts
-    /// from a clean slate without giving back its warmed allocations.
+    /// claimed-wire list and the search worklists) while keeping every
+    /// buffer's capacity — the **recycling hook** pools run before parking
+    /// a scratch, so a scratch checked out later starts from a clean slate
+    /// without giving back its warmed allocations.
     pub fn reset(&mut self) {
         self.nets.clear();
         self.claimed.clear();
-        self.emitted.clear();
         self.search.heap.clear();
         self.search.path.clear();
         self.search.neighbors.clear();
@@ -394,8 +325,8 @@ impl AdjTable {
     }
 }
 
-/// A small set of [`AdjTable`]s cached across decodes, so a scratch (or a
-/// pooled decode lane) serving a *mix* of task shapes — the steady state
+/// A small set of [`AdjTable`]s cached across decodes, so a scratch
+/// serving a *mix* of task shapes — the steady state
 /// of a fleet workload — rebuilds nothing once every shape in rotation has
 /// been seen. Misses past the slot cap replace tables round-robin, reusing
 /// the victim's buffers; a hit is a scan of at most [`AdjCache::SLOTS`]
@@ -575,10 +506,9 @@ impl NetScratch {
 ///
 /// The engine borrows the stream and expands records on demand; use
 /// [`Devirtualizer::run`] for the whole task, [`Devirtualizer::decode_into`]
-/// for the zero-allocation reuse path, [`Devirtualizer::decode_streaming`]
-/// to emit frames as they complete, or
-/// [`Devirtualizer::decode_record_into`] to expand a single record (the
-/// run-time controller uses the latter to parallelize decoding).
+/// for the zero-allocation reuse path, or
+/// [`Devirtualizer::decode_record_with`] to expand a single record (the
+/// encoder's feedback loop inspects the wires each record claims).
 #[derive(Debug)]
 pub struct Devirtualizer<'a> {
     vbs: &'a Vbs,
@@ -652,85 +582,20 @@ impl<'a> Devirtualizer<'a> {
         Ok(())
     }
 
-    /// Decodes every record into `staging` while pushing completed frames to
-    /// `sink`: the frames of each cluster are emitted right after its record
-    /// expands, and the all-zero frames of recordless clusters are emitted
-    /// at the end (see the [`FrameSink`] contract). `staging` ends up
-    /// holding the same image [`Devirtualizer::decode_into`] would produce,
-    /// so callers can retain it (e.g. for a decode cache) at no extra cost.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first record-level failure. Frames emitted before the
-    /// failure have already reached the sink — streaming trades the
-    /// buffered path's atomicity for latency, so callers writing to live
-    /// memory must clean up the target region on error.
-    pub fn decode_streaming(
-        &self,
-        staging: &mut TaskBitstream,
-        scratch: &mut DecodeScratch,
-        sink: &mut dyn FrameSink,
-    ) -> Result<(), VbsError> {
-        let (w, h) = (self.vbs.width().max(1), self.vbs.height().max(1));
-        staging.reset(*self.vbs.spec(), w, h);
-        scratch.reserve_for(self.vbs, &self.geometry);
-        scratch.emitted.clear();
-        scratch.emitted.resize(w as usize * h as usize, false);
-        let k = self.grid.cluster_size();
-        for record in self.vbs.records() {
-            self.decode_record_with(record, staging, scratch)?;
-            for local in 0..(u32::from(k) * u32::from(k)) {
-                let Some(site) = self.grid.macro_at(record.position, local as u16) else {
-                    continue;
-                };
-                sink.emit(site, staging.frame(site));
-                scratch.emitted[site.y as usize * w as usize + site.x as usize] = true;
-            }
-        }
-        for y in 0..h {
-            for x in 0..w {
-                if !scratch.emitted[y as usize * w as usize + x as usize] {
-                    let at = Coord::new(x, y);
-                    sink.emit(at, staging.frame(at));
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Expands one record into `task` (only the record's own frames are
-    /// touched) and returns the task-relative wires the expansion claimed.
+    /// touched) with every working buffer taken from `scratch`, leaving the
+    /// task-relative wires the expansion claimed in
+    /// [`DecodeScratch::claimed_wires`].
     ///
     /// The claimed-wire list is what the offline feedback loop of the encoder
     /// inspects: a coded record is only kept if its expansion stays within
     /// the wires the original routing used for the cluster.
-    ///
-    /// This compatibility wrapper allocates a scratch per call; repeated
-    /// callers should use [`Devirtualizer::decode_record_with`] and read
-    /// [`DecodeScratch::claimed_wires`].
     ///
     /// # Errors
     ///
     /// Returns [`VbsError::DecodeConflict`], [`VbsError::DecodeNoPath`],
     /// [`VbsError::DanglingBoundary`] or [`VbsError::Malformed`] when the
     /// record cannot be expanded.
-    pub fn decode_record_into(
-        &self,
-        record: &ClusterRecord,
-        task: &mut TaskBitstream,
-    ) -> Result<Vec<WireRef>, VbsError> {
-        let mut scratch = DecodeScratch::new();
-        self.decode_record_with(record, task, &mut scratch)?;
-        Ok(std::mem::take(&mut scratch.claimed))
-    }
-
-    /// As [`Devirtualizer::decode_record_into`], but with every working
-    /// buffer taken from `scratch`; the claimed wires are left in
-    /// [`DecodeScratch::claimed_wires`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Devirtualizer::decode_record_into`].
     pub fn decode_record_with(
         &self,
         record: &ClusterRecord,
@@ -1345,66 +1210,27 @@ mod tests {
         assert_eq!(task.diff_count(&buffered).unwrap(), 0);
     }
 
-    /// A sink recording every emission so the tests can audit coverage.
-    #[derive(Default)]
-    struct RecordingSink {
-        emits: Vec<(Coord, usize)>,
-        image: Option<TaskBitstream>,
-    }
-
-    impl FrameSink for RecordingSink {
-        fn emit(&mut self, at: Coord, frame: FrameRef<'_>) {
-            self.emits.push((at, frame.popcount()));
-            if let Some(image) = &mut self.image {
-                image.frame_mut(at).copy_from(frame);
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_emits_every_frame_and_converges_to_the_buffered_image() {
-        let vbs = two_net_vbs();
-        let buffered = decode(&vbs).unwrap();
-        let devirt = Devirtualizer::new(&vbs).unwrap();
-        let mut scratch = DecodeScratch::new();
-        let mut staging = TaskBitstream::empty(spec(), 1, 1);
-        let mut sink = RecordingSink {
-            image: Some(TaskBitstream::empty(spec(), 4, 4)),
-            ..RecordingSink::default()
-        };
-        devirt
-            .decode_streaming(&mut staging, &mut scratch, &mut sink)
-            .unwrap();
-        // Every macro of the 4x4 rectangle was emitted exactly once (no
-        // duplicate cluster records in this stream).
-        assert_eq!(sink.emits.len(), 16);
-        let mut seen: Vec<Coord> = sink.emits.iter().map(|(c, _)| *c).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), 16);
-        // The sink reassembles the buffered image; the staging holds it too.
-        assert_eq!(sink.image.unwrap().diff_count(&buffered).unwrap(), 0);
-        assert_eq!(staging.diff_count(&buffered).unwrap(), 0);
-        // The occupied cluster streamed before the empty remainder.
-        assert_eq!(sink.emits[0].0, Coord::new(1, 1));
-        assert!(sink.emits[0].1 > 0);
-    }
-
     #[test]
     fn decode_record_with_reports_claimed_wires_in_scratch() {
         let vbs = two_net_vbs();
         let devirt = Devirtualizer::new(&vbs).unwrap();
         let mut scratch = DecodeScratch::new();
         let mut task = TaskBitstream::empty(spec(), 4, 4);
-        let legacy = devirt
-            .decode_record_into(&vbs.records()[0], &mut task)
-            .unwrap();
-        let mut task2 = TaskBitstream::empty(spec(), 4, 4);
         devirt
-            .decode_record_with(&vbs.records()[0], &mut task2, &mut scratch)
+            .decode_record_with(&vbs.records()[0], &mut task, &mut scratch)
             .unwrap();
-        assert_eq!(scratch.claimed_wires(), legacy.as_slice());
-        assert!(!scratch.claimed_wires().is_empty());
-        assert_eq!(task.diff_count(&task2).unwrap(), 0);
+        let claimed = scratch.claimed_wires().to_vec();
+        assert!(!claimed.is_empty());
+        assert!(
+            claimed.windows(2).all(|w| w[0] < w[1]),
+            "sorted, deduplicated"
+        );
+        // A reused scratch reports the same wires and frames again.
+        let mut again = TaskBitstream::empty(spec(), 4, 4);
+        devirt
+            .decode_record_with(&vbs.records()[0], &mut again, &mut scratch)
+            .unwrap();
+        assert_eq!(scratch.claimed_wires(), claimed.as_slice());
+        assert_eq!(task.diff_count(&again).unwrap(), 0);
     }
 }

@@ -66,9 +66,7 @@ pub mod format;
 pub mod stats;
 
 pub use cluster::{ClusterGrid, ClusterIo};
-pub use decoder::{
-    decode, decode_at, decode_into, DecodeScratch, Devirtualizer, FrameSink, NullSink,
-};
+pub use decoder::{decode, decode_at, decode_into, DecodeScratch, Devirtualizer};
 pub use encoder::VbsEncoder;
 pub use error::VbsError;
 pub use format::{ClusterRecord, ClusterRoutes, Connection, Vbs};

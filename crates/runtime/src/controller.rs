@@ -2,25 +2,18 @@
 
 use crate::error::RuntimeError;
 use crate::fault::{FaultAction, FaultHook};
-use crate::parallel::DecodeWorkerPool;
 use crate::pool::ScratchPool;
 use std::sync::Arc;
-use std::time::Instant;
 use vbs_arch::{Coord, Device, Rect};
-use vbs_bitstream::{BitstreamError, ConfigMemory, FrameRef, TaskBitstream};
-use vbs_core::{Devirtualizer, FrameSink, Vbs};
-use vbs_telemetry::Telemetry;
+use vbs_bitstream::{BitstreamError, ConfigMemory, TaskBitstream};
+use vbs_core::{Devirtualizer, Vbs};
+use vbs_telemetry::{EventKind, Stage, Telemetry, FLEET_FABRIC};
 
 /// Timing and composition report of one de-virtualization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodeReport {
     /// Number of records expanded.
     pub records: usize,
-    /// Number of decode lanes configured on the pool that ran this load
-    /// (1 = sequential pool). An adaptive multi-lane pool may still have
-    /// decoded sequentially when the record count fell below its
-    /// threshold — see `DecodeWorkerPool::set_sequential_threshold`.
-    pub workers: usize,
     /// Wall-clock decode time in microseconds (saturating; a u64 of
     /// microseconds spans ~585k years, so saturation is theoretical).
     pub micros: u64,
@@ -31,17 +24,19 @@ pub struct DecodeReport {
 /// The run-time reconfiguration controller of Figure 2.
 ///
 /// It owns the device's [`ConfigMemory`] and de-virtualizes Virtual
-/// Bit-Streams into it at load time. Decoding can use a pool of persistent
-/// worker threads ([`DecodeWorkerPool`]) because every record only touches
-/// its own cluster's frames — the parallelism the paper highlights in
-/// Section II-C. Every decode, sequential or parallel, runs on recycled
-/// state from the controller's [`ScratchPool`], so steady-state loads
-/// perform zero heap allocations.
+/// Bit-Streams into it at load time. Every decode runs on the caller's
+/// thread with a scratch arena and staging image recycled through the
+/// controller's [`ScratchPool`], so steady-state loads perform zero heap
+/// allocations.
 #[derive(Debug)]
 pub struct ReconfigurationController {
     device: Device,
     memory: ConfigMemory,
-    decoder: DecodeWorkerPool,
+    /// Recycled decode state (scratch arenas and staging images); shared
+    /// fleet-wide when a dispatcher installs one pool on every fabric.
+    pool: ScratchPool,
+    /// Fabric tag stamped on this controller's decode events.
+    fabric: u16,
     /// Injected fault model; `None` means a fault-free fabric.
     fault: Option<Arc<dyn FaultHook>>,
     /// Per-frame CRC sidecar for readback verification; `None` until
@@ -136,77 +131,50 @@ impl IntegrityMap {
 }
 
 impl ReconfigurationController {
-    /// Creates a controller for `device` with a blank configuration memory,
-    /// decoding sequentially on a private scratch pool.
+    /// Creates a controller for `device` with a blank configuration memory
+    /// and a private scratch pool.
     pub fn new(device: Device) -> Self {
         let memory = ConfigMemory::new(&device);
         ReconfigurationController {
             device,
             memory,
-            decoder: DecodeWorkerPool::new(1),
+            pool: ScratchPool::default(),
+            fabric: FLEET_FABRIC,
             fault: None,
             integrity: None,
         }
     }
 
-    /// Sets the number of de-virtualization decode lanes (at least 1). The
-    /// existing scratch pool is kept, so buffers warmed before the switch
-    /// stay warm.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        let pool = self.decoder.pool().clone();
-        let fabric = self.decoder.fabric();
-        let threshold = self.decoder.sequential_threshold();
-        self.decoder = DecodeWorkerPool::with_pool(workers, pool);
-        self.decoder.set_fabric(fabric);
-        self.decoder.set_sequential_threshold(threshold);
-        self
-    }
-
     /// Replaces the controller's scratch pool — multi-fabric deployments
     /// install one shared pool so recycled decode state on any fabric feeds
-    /// decodes everywhere. The decode lanes are rebuilt onto the new pool.
+    /// decodes everywhere.
     pub fn set_scratch_pool(&mut self, pool: ScratchPool) {
-        let fabric = self.decoder.fabric();
-        let threshold = self.decoder.sequential_threshold();
-        self.decoder = DecodeWorkerPool::with_pool(self.decoder.workers(), pool);
-        self.decoder.set_fabric(fabric);
-        self.decoder.set_sequential_threshold(threshold);
-    }
-
-    /// Sets the decode pool's sequential-fallback threshold (see
-    /// [`DecodeWorkerPool::set_sequential_threshold`]).
-    pub fn set_decode_threshold(&self, records: usize) {
-        self.decoder.set_sequential_threshold(records);
-    }
-
-    /// The number of de-virtualization decode lanes.
-    pub fn workers(&self) -> usize {
-        self.decoder.workers()
+        self.pool = pool;
     }
 
     /// The controller's scratch pool (a shared handle).
     pub fn scratch_pool(&self) -> &ScratchPool {
-        self.decoder.pool()
+        &self.pool
     }
 
-    /// Installs the observability registry (onto the scratch pool, reaching
-    /// every decode lane) and tags this controller's lane events with
-    /// `fabric`. Timing in [`DecodeReport`]s then runs on the registry's
-    /// clock, so tests driving a deterministic clock see exact durations.
-    pub fn set_telemetry(&self, telemetry: Telemetry, fabric: u16) {
-        self.decoder.pool().set_telemetry(telemetry);
-        self.decoder.set_fabric(fabric);
+    /// Installs the observability registry (onto the scratch pool) and tags
+    /// this controller's decode events with `fabric`. Timing in
+    /// [`DecodeReport`]s then runs on the registry's clock, so tests driving
+    /// a deterministic clock see exact durations.
+    pub fn set_telemetry(&mut self, telemetry: Telemetry, fabric: u16) {
+        self.pool.set_telemetry(telemetry);
+        self.fabric = fabric;
     }
 
-    /// Pre-warms one scratch and one staging buffer per decode lane for
-    /// `vbs` (see [`DecodeWorkerPool::warm`]).
+    /// Pre-warms one scratch arena and one staging buffer for `vbs` (see
+    /// [`ScratchPool::warm`]).
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Decode`] when the stream header is
     /// degenerate.
     pub fn warm(&self, vbs: &Vbs) -> Result<(), RuntimeError> {
-        self.decoder.warm(vbs)
+        self.pool.warm(vbs).map_err(RuntimeError::Decode)
     }
 
     /// The device this controller manages.
@@ -344,74 +312,78 @@ impl ReconfigurationController {
     ///
     /// Returns [`RuntimeError::Decode`] when the stream cannot be expanded.
     pub fn devirtualize(&self, vbs: &Vbs) -> Result<(TaskBitstream, DecodeReport), RuntimeError> {
-        let mut task =
-            self.decoder
-                .pool()
-                .checkout(*vbs.spec(), vbs.width().max(1), vbs.height().max(1));
-        match self.decoder.decode_into(vbs, &mut task) {
+        let mut task = self.checkout_staging(vbs);
+        match self.decode_into(vbs, &mut task) {
             Ok(report) => Ok((task, report)),
             Err(e) => {
-                self.decoder.pool().put(task);
+                self.pool.put(task);
                 Err(e)
             }
         }
     }
 
+    /// A pooled staging image shaped for `vbs`.
+    fn checkout_staging(&self, vbs: &Vbs) -> TaskBitstream {
+        self.pool
+            .checkout(*vbs.spec(), vbs.width().max(1), vbs.height().max(1))
+    }
+
     /// De-virtualizes `vbs` into a caller-provided bit-stream (reshaped in
-    /// place) on the controller's decode lanes — the zero-allocation
-    /// buffered-decode handoff for callers that keep or cache decoded
-    /// images. Sequential and parallel lane counts produce bit-identical
-    /// results.
+    /// place) on a pooled scratch arena — the one decode entry point, used
+    /// for first decodes and for warm-tier re-decodes alike. Zero heap
+    /// allocations once the pool is warm.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Decode`] when the stream cannot be expanded.
+    /// Returns [`RuntimeError::Decode`] when the stream cannot be expanded;
+    /// `task` then holds a partially decoded image and should be discarded
+    /// (or recycled — pooled checkouts reset it anyway).
     pub fn decode_into(
         &self,
         vbs: &Vbs,
         task: &mut TaskBitstream,
     ) -> Result<DecodeReport, RuntimeError> {
-        self.decoder.decode_into(vbs, task)
-    }
-
-    /// Re-expands a stream whose decoded image was demoted to compressed
-    /// bytes — the warm-hit path of a tiered decode cache. The machinery is
-    /// exactly [`ReconfigurationController::decode_into`] (pooled lanes,
-    /// zero allocations once the pools are warm); the separate entry point
-    /// exists so cache re-decodes are a named seam callers and telemetry
-    /// can distinguish from first decodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Decode`] when the stream cannot be expanded.
-    pub fn redecode_into(
-        &self,
-        vbs: &Vbs,
-        task: &mut TaskBitstream,
-    ) -> Result<DecodeReport, RuntimeError> {
-        self.decoder.decode_into(vbs, task)
+        let telemetry = self.pool.telemetry();
+        let start = telemetry.now();
+        let devirtualizer = Devirtualizer::new(vbs)?;
+        let records = vbs.records().len();
+        telemetry.event(EventKind::DecodeStart, self.fabric, 0, 0, 0);
+        let mut scratch = self.pool.checkout_scratch();
+        let result = devirtualizer.decode_into(task, &mut scratch);
+        self.pool.put_scratch(scratch);
+        telemetry.record_span(Stage::LaneBusy, start);
+        telemetry.event_span(
+            EventKind::DecodeEnd,
+            self.fabric,
+            0,
+            records as u64,
+            0,
+            start,
+        );
+        result?;
+        Ok(DecodeReport {
+            records,
+            micros: telemetry.now().saturating_sub(start),
+            raw_bits: task.size_bits(),
+        })
     }
 
     /// De-virtualizes `vbs` and writes it into the configuration memory with
     /// its lower-left corner at `origin` — the full run-time load path. The
     /// staging image and every decode buffer come from the scratch pool, so
-    /// a warm controller loads without a single heap allocation, at any
-    /// worker count.
+    /// a warm controller loads without a single heap allocation.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Decode`] or [`RuntimeError::Memory`] on
     /// failure; the configuration memory is left untouched in that case.
     pub fn load(&mut self, vbs: &Vbs, origin: Coord) -> Result<DecodeReport, RuntimeError> {
-        let mut staging =
-            self.decoder
-                .pool()
-                .checkout(*vbs.spec(), vbs.width().max(1), vbs.height().max(1));
-        let outcome = match self.decoder.decode_into(vbs, &mut staging) {
+        let mut staging = self.checkout_staging(vbs);
+        let outcome = match self.decode_into(vbs, &mut staging) {
             Ok(report) => self.write_decoded(&staging, origin).map(|()| report),
             Err(e) => Err(e),
         };
-        self.decoder.pool().put(staging);
+        self.pool.put(staging);
         outcome
     }
 
@@ -434,85 +406,10 @@ impl ReconfigurationController {
         Ok(())
     }
 
-    /// De-virtualizes `vbs` **into** the configuration memory at `origin`,
-    /// beginning frame writes as soon as each cluster record is expanded —
-    /// the streaming load path: instead of buffering the whole decoded task
-    /// and then writing it, decode and configuration-memory writes overlap
-    /// within the single load. `staging` receives the decoded image as a
-    /// byproduct (callers typically pool it or feed a decode cache); the
-    /// decode scratch is checked out of the controller's pool, so a warm
-    /// call allocates nothing.
-    ///
-    /// The final memory state is bit-identical to
-    /// [`ReconfigurationController::load`]: every frame of the task
-    /// rectangle is written exactly once per completed cluster (stale
-    /// content of the region is overwritten either way).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Memory`] if the task sticks out of the device
-    /// (checked before the first write) or [`RuntimeError::Decode`] when the
-    /// stream cannot be expanded. Unlike the buffered path, a decode failure
-    /// happens *after* some frames may have been written; the controller
-    /// then clears the whole target region, so the memory ends blank there
-    /// rather than partially configured.
-    pub fn load_streaming(
-        &mut self,
-        vbs: &Vbs,
-        origin: Coord,
-        staging: &mut TaskBitstream,
-    ) -> Result<DecodeReport, RuntimeError> {
-        let (w, h) = (vbs.width().max(1), vbs.height().max(1));
-        if origin.x as u32 + w as u32 > self.memory.width() as u32
-            || origin.y as u32 + h as u32 > self.memory.height() as u32
-        {
-            return Err(RuntimeError::Memory(BitstreamError::DoesNotFit {
-                origin,
-                width: w,
-                height: h,
-            }));
-        }
-        let region = Rect::new(origin, w, h);
-        let corrupt = self.gate_write(region)?;
-        let telemetry = self.decoder.pool().telemetry();
-        let start = telemetry.now();
-        let devirtualizer = Devirtualizer::new(vbs)?;
-        let mut scratch = self.decoder.pool().checkout_scratch();
-        let mut sink = MemorySink {
-            memory: &mut self.memory,
-            origin,
-        };
-        let result = devirtualizer.decode_streaming(staging, &mut scratch, &mut sink);
-        self.decoder.pool().put_scratch(scratch);
-        if let Err(e) = result {
-            // Frames already streamed would leave the region half
-            // configured: blank it so a failed load never leaves partial
-            // state behind (the region held no resident task — the caller
-            // checked — so blank is what it was). The region was bounds
-            // validated above, so the clear cannot fail.
-            let _ = self.memory.clear_region(region);
-            if let Some(integrity) = &mut self.integrity {
-                integrity.record_clear(region);
-            }
-            return Err(RuntimeError::Decode(e));
-        }
-        if let Some(integrity) = &mut self.integrity {
-            integrity.record_load(staging, origin);
-        }
-        if let Some(bit) = corrupt {
-            self.apply_corruption(region, bit);
-        }
-        Ok(DecodeReport {
-            records: vbs.records().len(),
-            workers: 1,
-            micros: telemetry.now().saturating_sub(start),
-            raw_bits: staging.size_bits(),
-        })
-    }
-
     /// Writes an already-decoded task bit-stream into the configuration
-    /// memory at `origin` — the cache-hit load path: a repeated load of the
-    /// same task skips de-virtualization entirely.
+    /// memory at `origin` — the load path for every decoded image, fresh
+    /// or served by a decode cache (a cache hit skips de-virtualization
+    /// entirely).
     ///
     /// # Errors
     ///
@@ -585,81 +482,6 @@ impl ReconfigurationController {
     }
 }
 
-/// De-virtualizes a Virtual Bit-Stream into a position-independent raw task
-/// image on `workers` decode lanes drawing every buffer from `pool`,
-/// outside any controller.
-///
-/// This is the one-shot decoded-stream handoff: de-virtualization only
-/// depends on the stream itself (the decoded frames are written wherever
-/// the task is later placed), so callers without a controller can expand a
-/// stream and hand the finished [`TaskBitstream`] on. The lanes are
-/// transient (created per call); long-running callers should hold a
-/// [`DecodeWorkerPool`] — or a [`ReconfigurationController`] — whose
-/// persistent lanes make repeated decodes allocation-free.
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::Decode`] when the stream cannot be expanded.
-pub fn devirtualize_stream(
-    vbs: &Vbs,
-    workers: usize,
-    pool: &ScratchPool,
-) -> Result<(TaskBitstream, DecodeReport), RuntimeError> {
-    let lanes = DecodeWorkerPool::with_pool(workers, pool.clone());
-    let mut task = pool.checkout(*vbs.spec(), vbs.width().max(1), vbs.height().max(1));
-    match lanes.decode_into(vbs, &mut task) {
-        Ok(report) => Ok((task, report)),
-        Err(e) => {
-            pool.put(task);
-            Err(e)
-        }
-    }
-}
-
-/// De-virtualizes `vbs` into a caller-provided bit-stream with a
-/// caller-provided scratch arena — the zero-allocation decode handoff used
-/// by per-worker decode pipelines: each worker keeps one
-/// [`vbs_core::DecodeScratch`] (typically checked out of a [`ScratchPool`])
-/// and a recycled [`TaskBitstream`] alive across loads, so steady-state
-/// decoding performs no heap allocation at all. Results are bit-identical
-/// to [`devirtualize_stream`].
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::Decode`] when the stream cannot be expanded.
-pub fn devirtualize_into(
-    vbs: &Vbs,
-    task: &mut TaskBitstream,
-    scratch: &mut vbs_core::DecodeScratch,
-) -> Result<DecodeReport, RuntimeError> {
-    let start = Instant::now();
-    let devirtualizer = Devirtualizer::new(vbs)?;
-    devirtualizer.decode_into(task, scratch)?;
-    Ok(DecodeReport {
-        records: vbs.records().len(),
-        workers: 1,
-        micros: u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
-        raw_bits: task.size_bits(),
-    })
-}
-
-/// A [`FrameSink`] writing task-relative frames into a device's
-/// configuration memory at a fixed origin. The target region is validated
-/// before streaming starts, so emission cannot fail.
-struct MemorySink<'a> {
-    memory: &'a mut ConfigMemory,
-    origin: Coord,
-}
-
-impl FrameSink for MemorySink<'_> {
-    fn emit(&mut self, at: Coord, frame: FrameRef<'_>) {
-        self.memory.write_frame(
-            Coord::new(self.origin.x + at.x, self.origin.y + at.y),
-            frame,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -684,18 +506,39 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_decode_agree() {
+    fn a_corrupt_stream_reports_the_decode_error() {
         let (device, vbs, raw) = task_vbs();
-        let sequential = ReconfigurationController::new(device.clone());
-        let parallel = ReconfigurationController::new(device).with_workers(4);
-        // Force real fan-out so this differential compares the two paths.
-        parallel.set_decode_threshold(2);
-        let (a, ra) = sequential.devirtualize(&vbs).unwrap();
-        let (b, rb) = parallel.devirtualize(&vbs).unwrap();
-        assert_eq!(a.diff_count(&b).unwrap(), 0);
-        assert_eq!(a.diff_count(&raw).unwrap(), 0);
-        assert_eq!(ra.records, rb.records);
-        assert_eq!(rb.workers, 4);
+        // Rebuild the stream with one record pointing at an out-of-range
+        // boundary wire so decoding fails deterministically.
+        let mut records = vbs.records().to_vec();
+        let corrupted = records
+            .iter_mut()
+            .find_map(|r| match &mut r.routes {
+                vbs_core::ClusterRoutes::Coded(routes) => routes.first_mut(),
+                vbs_core::ClusterRoutes::Raw(_) => None,
+            })
+            .expect("the fixture stream has a coded record");
+        corrupted.output = vbs_core::ClusterIo::Boundary {
+            side: vbs_arch::Side::West,
+            offset: u16::MAX,
+        };
+        let bad = Vbs::new(
+            *vbs.spec(),
+            vbs.cluster_size(),
+            vbs.width(),
+            vbs.height(),
+            records,
+        )
+        .expect("positions are untouched, so construction succeeds");
+        let controller = ReconfigurationController::new(device);
+        let mut task = TaskBitstream::empty(*vbs.spec(), 1, 1);
+        assert!(matches!(
+            controller.decode_into(&bad, &mut task),
+            Err(RuntimeError::Decode(_))
+        ));
+        // The same controller decodes a good stream bit-exactly afterwards.
+        controller.decode_into(&vbs, &mut task).unwrap();
+        assert_eq!(task.diff_count(&raw).unwrap(), 0);
     }
 
     #[test]
@@ -725,70 +568,30 @@ mod tests {
     }
 
     #[test]
-    fn streaming_load_matches_buffered_load_bit_for_bit() {
-        let (device, vbs, raw) = task_vbs();
-        let mut buffered = ReconfigurationController::new(device.clone());
-        buffered.load(&vbs, Coord::new(3, 2)).unwrap();
-
-        let mut streaming = ReconfigurationController::new(device);
-        let mut staging = TaskBitstream::empty(*vbs.spec(), 1, 1);
-        // Pre-soil the target region to prove streaming overwrites stale
-        // frames of recordless clusters too.
-        streaming
-            .memory
-            .frame_mut(Coord::new(4, 3))
-            .set_bit(0, true);
-        let report = streaming
-            .load_streaming(&vbs, Coord::new(3, 2), &mut staging)
-            .unwrap();
-        assert_eq!(report.records, vbs.records().len());
-        assert_eq!(staging.diff_count(&raw).unwrap(), 0);
-
-        let region = Rect::new(Coord::new(3, 2), vbs.width(), vbs.height());
-        let a = buffered.memory().read_region(region).unwrap();
-        let b = streaming.memory().read_region(region).unwrap();
-        assert_eq!(a.diff_count(&b).unwrap(), 0);
-        assert_eq!(
-            buffered.memory().occupied_macros(),
-            streaming.memory().occupied_macros()
-        );
-
-        // Repeat with the warm pool + staging: still identical.
-        streaming.memory.clear_region(region).unwrap();
-        streaming
-            .load_streaming(&vbs, Coord::new(3, 2), &mut staging)
-            .unwrap();
-        let b2 = streaming.memory().read_region(region).unwrap();
-        assert_eq!(a.diff_count(&b2).unwrap(), 0);
-    }
-
-    #[test]
-    fn streaming_load_rejects_out_of_bounds_before_writing() {
-        let (device, vbs, _) = task_vbs();
-        let mut controller = ReconfigurationController::new(device);
-        let mut staging = TaskBitstream::empty(*vbs.spec(), 1, 1);
-        assert!(matches!(
-            controller.load_streaming(&vbs, Coord::new(19, 11), &mut staging),
-            Err(RuntimeError::Memory(_))
-        ));
-        assert_eq!(controller.memory().occupied_macros(), 0);
-    }
-
-    #[test]
     fn repeated_loads_recycle_through_the_scratch_pool() {
         let (device, vbs, raw) = task_vbs();
         let mut controller = ReconfigurationController::new(device);
+        controller.warm(&vbs).unwrap();
+        let warmed = controller.scratch_pool().stats();
+        assert_eq!(warmed.scratch_fresh, 1);
+        assert_eq!(warmed.scratch_parked, 1);
+        let mut task = TaskBitstream::empty(*vbs.spec(), 1, 1);
         for _ in 0..3 {
             controller.load(&vbs, Coord::new(1, 1)).unwrap();
             let region = Rect::new(Coord::new(1, 1), vbs.width(), vbs.height());
             let readback = controller.memory().read_region(region).unwrap();
             assert_eq!(readback.diff_count(&raw).unwrap(), 0);
             controller.unload(region).unwrap();
+            controller.decode_into(&vbs, &mut task).unwrap();
+            assert_eq!(task.diff_count(&raw).unwrap(), 0);
         }
         let stats = controller.scratch_pool().stats();
         assert_eq!(stats.fresh, 1, "one staging buffer serves every load");
-        assert_eq!(stats.scratch_fresh, 1, "one scratch serves every load");
-        assert!(stats.reused >= 2, "later loads recycle: {stats:?}");
+        assert_eq!(
+            stats.scratch_fresh, 1,
+            "no decode may allocate a scratch after warm-up: {stats:?}"
+        );
+        assert!(stats.reused >= 3, "later loads recycle: {stats:?}");
     }
 
     #[derive(Debug, Default)]
@@ -947,19 +750,5 @@ mod tests {
         assert_eq!(controller.memory().occupied_macros(), 0);
         let whole = Rect::at_origin(controller.memory().width(), controller.memory().height());
         controller.verify_region(whole).unwrap();
-    }
-
-    #[test]
-    fn devirtualize_stream_draws_from_the_given_pool() {
-        let (_, vbs, raw) = task_vbs();
-        let pool = ScratchPool::default();
-        let (a, _) = devirtualize_stream(&vbs, 1, &pool).unwrap();
-        assert_eq!(a.diff_count(&raw).unwrap(), 0);
-        let (b, report) = devirtualize_stream(&vbs, 2, &pool).unwrap();
-        assert_eq!(b.diff_count(&raw).unwrap(), 0);
-        assert_eq!(report.workers, 2);
-        pool.put(a);
-        pool.put(b);
-        assert!(pool.stats().recycled >= 2);
     }
 }

@@ -1,14 +1,13 @@
 //! On-line task management: placing, loading, relocating and evicting
 //! hardware tasks on the fabric at run time.
 
-use crate::controller::{DecodeReport, ReconfigurationController};
+use crate::controller::ReconfigurationController;
 use crate::error::RuntimeError;
 use crate::placement::{FabricId, FabricView, FirstFit, PlacementPolicy};
 use crate::pool::ScratchPool;
 use crate::repository::VbsRepository;
 use vbs_arch::{Coord, Rect};
 use vbs_bitstream::{BitstreamError, TaskBitstream};
-use vbs_core::Vbs;
 
 /// Identifier of a loaded task instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -147,67 +146,10 @@ impl TaskManager {
         Ok(self.register(name, region))
     }
 
-    /// Loads a task at an explicit position through the **streaming** write
-    /// path: configuration-memory frames are written as each cluster record
-    /// decodes, instead of after the whole stream is buffered. `staging`
-    /// receives the decoded image (position independent, suitable for a
-    /// decode cache); the controller's scratch pool provides every other
-    /// buffer, so a warm call allocates nothing. The final memory state is
-    /// bit-identical to [`TaskManager::load_at`].
-    ///
-    /// # Errors
-    ///
-    /// As [`TaskManager::load_at`]. On a decode failure the target region is
-    /// blanked (it held no task — see
-    /// [`ReconfigurationController::load_streaming`]).
-    pub fn load_streaming_at(
-        &mut self,
-        name: &str,
-        vbs: &Vbs,
-        staging: &mut TaskBitstream,
-        origin: Coord,
-    ) -> Result<(TaskHandle, DecodeReport), RuntimeError> {
-        let region = Rect::new(origin, vbs.width().max(1), vbs.height().max(1));
-        self.ensure_region_free(&region, None)?;
-        let report = self.controller.load_streaming(vbs, origin, staging)?;
-        Ok((self.register(name, region), report))
-    }
-
-    /// De-virtualizes `vbs` into `staging` on the controller's decode lanes
-    /// (zero allocations when the pool is warm, at any worker count) — the
-    /// buffered-decode handoff for callers that cache decoded images.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Decode`] when the stream cannot be expanded.
-    pub fn devirtualize_into(
-        &mut self,
-        vbs: &Vbs,
-        staging: &mut TaskBitstream,
-    ) -> Result<DecodeReport, RuntimeError> {
-        self.controller.decode_into(vbs, staging)
-    }
-
-    /// Re-expands a stream whose decoded image fell out of a tiered cache's
-    /// hot tier (see [`ReconfigurationController::redecode_into`]): same
-    /// pooled lanes and zero steady-state allocations as
-    /// [`TaskManager::devirtualize_into`], kept as a separate seam so
-    /// warm-hit re-decodes stay distinguishable from first decodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Decode`] when the stream cannot be expanded.
-    pub fn redevirtualize_into(
-        &mut self,
-        vbs: &Vbs,
-        staging: &mut TaskBitstream,
-    ) -> Result<DecodeReport, RuntimeError> {
-        self.controller.redecode_into(vbs, staging)
-    }
-
     /// Loads an already-decoded task bit-stream at an explicit position —
-    /// the cache-hit path of the scheduler: a repeated load of the same task
-    /// skips the fetch and de-virtualization entirely.
+    /// the scheduler's load path: it decodes through the controller's
+    /// [`ReconfigurationController::decode_into`] (or serves the image from
+    /// its decode cache) and writes the result here.
     ///
     /// # Errors
     ///
@@ -495,40 +437,6 @@ mod tests {
         m.relocate(a, Coord::new(2, 1)).unwrap();
         let after = m.controller().memory().read_region(region).unwrap();
         assert_eq!(before.diff_count(&after).unwrap(), 0);
-    }
-
-    #[test]
-    fn streaming_load_at_matches_load_at() {
-        let mut buffered = manager();
-        buffered.load_at("task_a", Coord::new(2, 1)).unwrap();
-
-        let mut streaming = manager();
-        let vbs = streaming.repository().fetch("task_a").unwrap();
-        let mut staging = TaskBitstream::empty(*vbs.spec(), 1, 1);
-        let (handle, report) = streaming
-            .load_streaming_at("task_a", &vbs, &mut staging, Coord::new(2, 1))
-            .unwrap();
-        assert_eq!(report.records, vbs.records().len());
-
-        let region = streaming.loaded_tasks()[0].region;
-        assert_eq!(region, buffered.loaded_tasks()[0].region);
-        let a = buffered.controller().memory().read_region(region).unwrap();
-        let b = streaming.controller().memory().read_region(region).unwrap();
-        assert_eq!(a.diff_count(&b).unwrap(), 0);
-
-        // The streamed instance is a first-class resident: unload clears it.
-        streaming.unload(handle).unwrap();
-        assert_eq!(streaming.controller().memory().occupied_macros(), 0);
-
-        // Overlap with a resident is rejected before anything is written.
-        let (h2, _) = streaming
-            .load_streaming_at("task_a", &vbs, &mut staging, Coord::new(0, 0))
-            .unwrap();
-        assert!(matches!(
-            streaming.load_streaming_at("task_a", &vbs, &mut staging, Coord::new(1, 1)),
-            Err(RuntimeError::RegionBusy { .. })
-        ));
-        streaming.unload(h2).unwrap();
     }
 
     #[test]

@@ -2,25 +2,22 @@
 //! decode scratch arenas.
 //!
 //! De-virtualizing a stream needs one decoded-image buffer per load plus one
-//! [`DecodeScratch`] per decode lane; at fleet scale those are the two
-//! biggest allocations of the hot path (`width · height` frames in one word
-//! arena, and the Dijkstra search state sized by the device's routing
-//! graph). The pool closes both loops:
+//! [`DecodeScratch`] per decode; at fleet scale those are the two biggest
+//! allocations of the hot path (`width · height` frames in one word arena,
+//! and the Dijkstra search state sized by the device's routing graph). The
+//! pool closes both loops:
 //!
-//! * **Buffers** — staging images checked out by decode lanes come back when
-//!   a decode cache evicts them or a lane abandons a failed decode, and
+//! * **Buffers** — staging images checked out by a decode come back when a
+//!   decode cache evicts them or a decode fails, and
 //!   [`TaskBitstream::reset`] reshapes a recycled buffer in place, so
 //!   steady-state decoding recycles memory instead of allocating it.
-//! * **Scratches** — every decode lane (the sequential load path, each
-//!   worker of a [`crate::DecodeWorkerPool`], the multi-fabric pipeline
-//!   workers) checks a [`DecodeScratch`] out per decode and parks it back
-//!   afterwards. After warm-up the pool holds one warm scratch per
-//!   concurrent lane (`scratch_fresh == lanes`) and no lane ever allocates
-//!   again.
+//! * **Scratches** — every decode checks a [`DecodeScratch`] out and parks
+//!   it back afterwards. After warm-up the pool holds one warm scratch
+//!   (`scratch_fresh == 1`) and no decode ever allocates again.
 //!
 //! The pool is `Clone` + thread-safe (a shared handle): one pool typically
-//! serves every fabric of a fleet, its schedulers' decode caches and every
-//! decode worker thread. `vbs-sched` re-exports it as `BitstreamPool`.
+//! serves every fabric of a fleet and its schedulers' decode caches.
+//! `vbs-sched` re-exports it as `BitstreamPool`.
 
 use std::sync::{Arc, Mutex};
 use vbs_arch::ArchSpec;
@@ -51,7 +48,7 @@ pub struct ScratchPoolStats {
     pub scratch_reused: u64,
     /// Scratch checkouts that had to create a fresh scratch (creation is
     /// allocation-free; the scratch allocates lazily on its first decode
-    /// unless it was warmed through [`ScratchPool::warm_scratches`]).
+    /// unless it was warmed through [`ScratchPool::warm`]).
     pub scratch_fresh: u64,
     /// Scratches currently parked in the pool.
     pub scratch_parked: usize,
@@ -225,7 +222,7 @@ impl ScratchPool {
         }
     }
 
-    /// Parks a decode scratch for reuse by the next lane (dropped silently
+    /// Parks a decode scratch for reuse by the next decode (dropped silently
     /// when the scratch side of the pool is full). Transient per-load state
     /// is cleared; warmed capacity is kept.
     pub fn put_scratch(&self, mut scratch: DecodeScratch) {
@@ -236,34 +233,20 @@ impl ScratchPool {
         }
     }
 
-    /// Pre-warms the pool for `lanes` concurrent decode lanes of `vbs`:
-    /// parks `lanes` scratches with every internal buffer pre-reserved for
-    /// that stream, plus `lanes + 1` staging buffers of the stream's shape
-    /// (one partial per lane and the merge target). A warmed pool
-    /// guarantees zero-allocation decodes regardless of which lanes happen
-    /// to run concurrently — without it, warm-up depends on scheduling luck
-    /// (a lane that never ran in the warm-up phase would allocate its
-    /// scratch mid-measurement).
+    /// Pre-warms the pool for decodes of `vbs`: parks one scratch with
+    /// every internal buffer pre-reserved for that stream, plus one staging
+    /// buffer of the stream's shape, so the first measured decode already
+    /// performs zero heap allocations.
     ///
     /// # Errors
     ///
     /// Returns the stream-header error of [`DecodeScratch::prepare_for`].
-    pub fn warm_scratches(&self, vbs: &Vbs, lanes: usize) -> Result<(), vbs_core::VbsError> {
-        let mut scratches = Vec::with_capacity(lanes);
-        let mut buffers = Vec::with_capacity(lanes + 1);
-        buffers.push(self.checkout(*vbs.spec(), vbs.width().max(1), vbs.height().max(1)));
-        for _ in 0..lanes {
-            let mut scratch = self.checkout_scratch();
-            scratch.prepare_for(vbs)?;
-            scratches.push(scratch);
-            buffers.push(self.checkout(*vbs.spec(), vbs.width().max(1), vbs.height().max(1)));
-        }
-        for scratch in scratches {
-            self.put_scratch(scratch);
-        }
-        for buffer in buffers {
-            self.put(buffer);
-        }
+    pub fn warm(&self, vbs: &Vbs) -> Result<(), vbs_core::VbsError> {
+        let mut scratch = self.checkout_scratch();
+        let prepared = scratch.prepare_for(vbs);
+        self.put_scratch(scratch);
+        prepared?;
+        self.put(self.checkout(*vbs.spec(), vbs.width().max(1), vbs.height().max(1)));
         Ok(())
     }
 

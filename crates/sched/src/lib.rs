@@ -16,19 +16,16 @@
 //!   paper's fast-relocation use case at scale;
 //! * [`DecodeCache`] — an LRU cache of decoded [`vbs_bitstream::TaskBitstream`]s
 //!   keyed by `(task, spec)`, so repeated loads skip de-virtualization;
-//! * [`BitstreamPool`] — a fleet-wide free-list of decoded-image buffers:
-//!   cache evictions recycle into it, decode workers check out of it, so
-//!   steady-state decoding allocates nothing
-//!   ([`SchedulerConfig::streaming`] additionally overlaps config-memory
-//!   writes with the decode of each load);
+//! * [`BitstreamPool`] — a fleet-wide free-list of decoded-image buffers
+//!   and decode scratch arenas: cache evictions recycle into it, decodes
+//!   check out of it, so steady-state decoding allocates nothing;
 //! * [`Trace`] / [`replay`] — a deterministic trace format, a seeded
 //!   synthetic workload generator and a simulator reporting acceptance
 //!   rate, fragmentation, decode time, cache hit rate and relocations;
 //! * [`MultiFabricScheduler`] — one request stream sharded over K fabrics
 //!   through a pluggable [`ShardPolicy`] ([`RoundRobin`], [`LeastLoaded`],
 //!   [`CacheAffinity`]), with cross-fabric migration of capacity-rejected
-//!   loads and a decode pipeline that overlaps de-virtualization with
-//!   config-memory writes; [`replay_multi`] replays traces against a fleet.
+//!   loads; [`replay_multi`] replays traces against a fleet.
 //!
 //! Placement is pluggable through [`vbs_runtime::PlacementPolicy`]
 //! (first-fit, best-fit, bottom-left skyline) on the manager the scheduler

@@ -4,21 +4,16 @@
 //! into one dispatcher. Each submitted load is routed to a fabric by a
 //! pluggable [`ShardPolicy`] (round-robin, least-loaded, cache-affinity) and
 //! joins that fabric's work queue; unloads and relocations follow the job to
-//! wherever it was routed. Two mechanisms keep the fleet busy:
+//! wherever it was routed.
 //!
-//! * **Overlapped decode pipeline** — before a processing round, the
-//!   de-virtualizations the round will need are fanned out to a worker pool
-//!   on [`std::thread::scope`]; workers hand finished streams to per-fabric
-//!   writer threads through channels ([`Scheduler::stage_decoded`]), so one
-//!   fabric's configuration-memory writes overlap another's decodes (and
-//!   the pool's decode of the next stream overlaps this fabric's writes).
-//!   Counter accounting of a staged decode is identical to an on-demand
-//!   one, which is what keeps a K=1 fleet bit-identical to a plain
-//!   [`Scheduler`] — the differential tests pin this down.
-//! * **Cross-fabric migration** — a load rejected for capacity on its
-//!   assigned fabric is re-dispatched to a fabric it has not tried yet
-//!   (chosen by the same shard policy), so one saturated device sheds work
-//!   to the rest of the fleet instead of dropping it.
+//! A processing round runs every busy fabric's queue in fabric order on the
+//! caller's thread; each fabric decodes its cache misses on demand, exactly
+//! as a lone [`Scheduler`] does, which is what keeps a K=1 fleet
+//! bit-identical to a plain [`Scheduler`] — the differential tests pin this
+//! down. A load rejected for capacity on its assigned fabric **migrates**:
+//! it is re-dispatched to a fabric it has not tried yet (chosen by the same
+//! shard policy), so one saturated device sheds work to the rest of the
+//! fleet instead of dropping it.
 //!
 //! Job ids returned by [`MultiFabricScheduler::submit`] are fleet-global;
 //! outcomes are translated back to them, so callers never see per-fabric
@@ -27,37 +22,28 @@
 use crate::pool::BitstreamPool;
 use crate::scheduler::{EvacuatedJob, Outcome, RejectReason, Request, SchedMetrics, Scheduler};
 use crate::shard::{FabricStatus, ShardPolicy};
-use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use vbs_bitstream::TaskBitstream;
-use vbs_core::Vbs;
-use vbs_runtime::devirtualize_into;
+use std::collections::HashMap;
 use vbs_telemetry::{EventKind, Telemetry, FLEET_FABRIC};
 
 /// Tunables of the multi-fabric dispatcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultiConfig {
-    /// Worker threads of the decode pipeline (at least 1).
+    /// Ignored: fleet rounds decode on demand on the caller's thread. Kept
+    /// only because the `rtbench` benchmark builds `MultiConfig` by struct
+    /// literal; the next benchmark change drops it.
     pub decode_workers: usize,
     /// Whether capacity-rejected loads migrate to an untried fabric.
     pub migration: bool,
-    /// Whether fabrics use the streaming decode→write load path instead of
-    /// the staged pipeline: the round's decodes are *not* fanned out to the
-    /// worker pool; each fabric writer decodes on demand and overlaps
-    /// configuration-memory writes with the decode of a single load
-    /// ([`crate::SchedulerConfig::streaming`] is switched on for every
-    /// fabric). Counters stay bit-identical to the staged/buffered modes.
+    /// Ignored: there is one load path. Kept only because the `rtbench`
+    /// benchmark builds `MultiConfig` by struct literal; the next benchmark
+    /// change drops it.
     pub streaming: bool,
 }
 
 impl Default for MultiConfig {
     fn default() -> Self {
         MultiConfig {
-            decode_workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8),
+            decode_workers: 1,
             migration: true,
             streaming: false,
         }
@@ -80,10 +66,12 @@ pub struct MultiMetrics {
     pub migrations: u64,
     /// Loads accepted on a fabric other than their first choice.
     pub migrated_accepts: u64,
-    /// Streams de-virtualized by the pipeline's worker pool.
+    /// Always 0: fleet rounds stage no decodes. Kept only because the
+    /// `rtbench` benchmark reports it; the next benchmark change drops it.
     pub staged_decodes: u64,
-    /// Time fabric writers spent blocked waiting on the decode pool, µs
-    /// (saturating).
+    /// Always 0: fleet rounds never wait on a decode pool. Kept only
+    /// because the `rtbench` benchmark reports it; the next benchmark
+    /// change drops it.
     pub pipeline_stall_micros: u64,
     /// Processing rounds executed (≥1 per `process_pending` call).
     pub process_rounds: u64,
@@ -162,8 +150,7 @@ pub struct MultiFabricScheduler {
     /// by [`Self::set_telemetry`]; a no-op registry until then.
     telemetry: Telemetry,
     /// The fleet-wide recycled decode-state pool shared by every fabric's
-    /// decode cache, every controller's decode lanes and the pipeline
-    /// workers (which park their scratch arenas here between rounds).
+    /// decode cache and controller.
     pool: BitstreamPool,
 }
 
@@ -187,9 +174,6 @@ impl MultiFabricScheduler {
         let pool = BitstreamPool::default();
         for fabric in &mut fabrics {
             fabric.set_pool(pool.clone());
-            if config.streaming {
-                fabric.set_streaming(true);
-            }
         }
         let quarantined = vec![false; fabrics.len()];
         MultiFabricScheduler {
@@ -212,7 +196,7 @@ impl MultiFabricScheduler {
     /// Installs one shared telemetry registry across the whole fleet: the
     /// dispatcher records fleet-scope events (shard decisions, migrations)
     /// under the [`FLEET_FABRIC`] tag, each per-fabric scheduler and its
-    /// decode lanes record under the fabric's index, and the shared buffer
+    /// controller record under the fabric's index, and the shared buffer
     /// pool reports its checkout hits/misses to the same timeline.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         for (i, fabric) in self.fabrics.iter_mut().enumerate() {
@@ -675,125 +659,18 @@ impl MultiFabricScheduler {
         }
     }
 
-    /// One pipelined processing round: fan the round's de-virtualizations
-    /// out to the decode pool, hand streams to per-fabric writers through
-    /// channels, and run every busy fabric's queue on its own writer
-    /// thread. Returns `(fabric, local request id, outcome)` triples in
-    /// fabric order.
+    /// One processing round: every fabric with queued requests processes
+    /// its queue, in fabric order, on the caller's thread. Returns
+    /// `(fabric, local request id, outcome)` triples in fabric order.
     fn process_round(&mut self) -> Vec<(usize, u64, Outcome)> {
-        type StagedMsg = (String, Option<(Arc<TaskBitstream>, u64)>);
-        // One fabric writer's round result: (fabric, tagged outcomes, µs
-        // spent stalled on the decode pool).
-        type WriterResult = (usize, Vec<(u64, Outcome)>, u64);
-
-        let fabric_count = self.fabrics.len();
-        // Streaming mode decodes on demand inside each fabric writer
-        // (overlapping writes within a load), so nothing is staged ahead.
-        let jobs: VecDeque<(usize, String, Vbs)> = if self.config.streaming {
-            VecDeque::new()
-        } else {
-            self.fabrics
-                .iter()
-                .enumerate()
-                .flat_map(|(i, s)| {
-                    s.pending_decode_fetches()
-                        .into_iter()
-                        .map(move |(name, vbs)| (i, name, vbs))
-                })
-                .collect()
-        };
-        let mut expected = vec![0usize; fabric_count];
-        for &(fabric, _, _) in &jobs {
-            expected[fabric] += 1;
-        }
-        self.metrics.staged_decodes += jobs.len() as u64;
-        let workers = self.config.decode_workers.max(1).min(jobs.len());
-
-        let mut senders: Vec<mpsc::Sender<StagedMsg>> = Vec::with_capacity(fabric_count);
-        let mut receivers: Vec<Option<mpsc::Receiver<StagedMsg>>> =
-            Vec::with_capacity(fabric_count);
-        for _ in 0..fabric_count {
-            let (tx, rx) = mpsc::channel();
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-        let queue = Mutex::new(jobs);
-
-        let pool = &self.pool;
-        let telemetry = &self.telemetry;
-        let mut per_fabric: Vec<WriterResult> = std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let queue = &queue;
-                let senders = senders.clone();
-                let pool = pool.clone();
-                scope.spawn(move || {
-                    // Each worker checks a scratch arena out of the fleet
-                    // pool and parks it again after the round: warm after
-                    // the first round, so steady-state staged decodes
-                    // allocate nothing beyond a pooled staging buffer.
-                    let mut scratch = pool.checkout_scratch();
-                    loop {
-                        let job = queue
-                            .lock()
-                            .expect("decode queue never poisoned")
-                            .pop_front();
-                        let Some((fabric, name, vbs)) = job else {
-                            break;
-                        };
-                        let mut staging =
-                            pool.checkout(*vbs.spec(), vbs.width().max(1), vbs.height().max(1));
-                        // Failures are not staged: the fabric re-decodes on
-                        // demand and reports the error per request.
-                        let staged = match devirtualize_into(&vbs, &mut staging, &mut scratch) {
-                            Ok(report) => Some((Arc::new(staging), report.micros)),
-                            Err(_) => {
-                                pool.put(staging);
-                                None
-                            }
-                        };
-                        let _ = senders[fabric].send((name, staged));
-                    }
-                    pool.put_scratch(scratch);
-                });
-            }
-            drop(senders);
-
-            let mut handles = Vec::new();
-            for (i, sched) in self.fabrics.iter_mut().enumerate() {
-                if expected[i] == 0 && sched.queued_len() == 0 {
-                    continue;
-                }
-                let rx = receivers[i].take().expect("one writer per fabric");
-                let wanted = expected[i];
-                let clock = telemetry.clock().clone();
-                handles.push(scope.spawn(move || {
-                    let mut stall = 0u64;
-                    for _ in 0..wanted {
-                        let waiting = clock.now_micros();
-                        let Ok((name, staged)) = rx.recv() else {
-                            break;
-                        };
-                        stall = stall.saturating_add(clock.now_micros().saturating_sub(waiting));
-                        if let Some((stream, micros)) = staged {
-                            sched.stage_decoded(name, stream, micros);
-                        }
-                    }
-                    (i, sched.process_pending_tagged(), stall)
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fabric writers never panic"))
-                .collect()
-        });
-
-        per_fabric.sort_by_key(|(i, _, _)| *i);
         let mut out = Vec::new();
-        for (fabric, outcomes, stall) in per_fabric {
-            self.metrics.pipeline_stall_micros =
-                self.metrics.pipeline_stall_micros.saturating_add(stall);
+        for (fabric, sched) in self.fabrics.iter_mut().enumerate() {
+            if sched.queued_len() == 0 {
+                continue;
+            }
             out.extend(
-                outcomes
+                sched
+                    .process_pending_tagged()
                     .into_iter()
                     .map(|(local_req, outcome)| (fabric, local_req, outcome)),
             );

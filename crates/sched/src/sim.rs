@@ -329,11 +329,6 @@ impl fmt::Display for MultiSimReport {
             "migrations        {:>8}  ({} accepted elsewhere)",
             self.multi.migrations, self.multi.migrated_accepts
         )?;
-        writeln!(
-            f,
-            "pipeline          {:>8} staged decodes, {} µs writer stall",
-            self.multi.staged_decodes, self.multi.pipeline_stall_micros
-        )?;
         for (i, fabric) in self.fabrics.iter().enumerate() {
             writeln!(
                 f,
@@ -389,13 +384,12 @@ fn multi_metrics_delta(after: &MultiMetrics, before: &MultiMetrics) -> MultiMetr
         loads_rejected: after.loads_rejected - before.loads_rejected,
         migrations: after.migrations - before.migrations,
         migrated_accepts: after.migrated_accepts - before.migrated_accepts,
-        staged_decodes: after.staged_decodes - before.staged_decodes,
-        pipeline_stall_micros: after.pipeline_stall_micros - before.pipeline_stall_micros,
         process_rounds: after.process_rounds - before.process_rounds,
         quarantines: after.quarantines - before.quarantines,
         recoveries: after.recoveries - before.recoveries,
         residents_requeued: after.residents_requeued - before.residents_requeued,
         degraded_accepts: after.degraded_accepts - before.degraded_accepts,
+        ..MultiMetrics::default()
     }
 }
 

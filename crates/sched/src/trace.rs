@@ -373,7 +373,9 @@ impl Trace {
                 reason: reason.to_string(),
             };
             let mut fields = line.split_whitespace();
-            let op = fields.next().expect("non-empty line has a first field");
+            let Some(op) = fields.next() else {
+                continue;
+            };
             match op {
                 "load" | "swap" => {
                     let tick = parse_u64(fields.next(), "tick").map_err(|e| malformed(&e))?;

@@ -21,9 +21,10 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use vbs_arch::{ArchSpec, Coord, Rect};
 use vbs_bitstream::TaskBitstream;
-use vbs_runtime::BestFit;
+use vbs_runtime::{BestFit, FirstFit};
 use vbs_sched::{
-    CacheBudget, CacheLookup, DecodeCache, Scheduler, SchedulerConfig, Trace, WorkloadSpec,
+    CacheBudget, CacheLookup, DecodeCache, Outcome, Request, Scheduler, SchedulerConfig, Trace,
+    WorkloadSpec,
 };
 
 /// A decoded stream carrying its name index as a frame bit, so eviction
@@ -258,4 +259,46 @@ proptest! {
             "final configuration memories diverge under a cache budget"
         );
     }
+}
+
+/// Cache evictions feed the fleet-wide buffer pool, and subsequent decodes
+/// draw from it instead of allocating.
+#[test]
+fn cache_evictions_recycle_into_the_pool() {
+    // A 1-entry cache forces an eviction on every distinct decode.
+    let config = SchedulerConfig {
+        eviction_limit: 1,
+        compaction: false,
+        cache_capacity: 1,
+        ..SchedulerConfig::default()
+    };
+    let mut sched = scheduler(12, 12, 0, Box::new(FirstFit), config);
+    let mut jobs = Vec::new();
+    for (round, task) in ["fir4", "crc4", "fir4", "crc4"].iter().enumerate() {
+        sched.advance_to(round as u64 * 10);
+        let job = sched.submit(Request::Load {
+            task: (*task).into(),
+            priority: 1,
+            deadline: None,
+        });
+        for (id, outcome) in sched.process_pending_tagged() {
+            if id == job {
+                assert!(matches!(outcome, Outcome::Loaded { .. }), "{outcome:?}");
+            }
+        }
+        jobs.push(job);
+        // Unload immediately so the decoded image's only owner is the cache
+        // and eviction can reclaim the buffer.
+        sched.submit(Request::Unload { job });
+        sched.process_pending();
+    }
+    let stats = sched.bitstream_pool().stats();
+    assert!(
+        stats.recycled >= 2,
+        "each cache eviction recycles a buffer: {stats:?}"
+    );
+    assert!(
+        stats.reused >= 2,
+        "later decodes reuse recycled buffers: {stats:?}"
+    );
 }

@@ -129,6 +129,31 @@ fn corrupt_write_is_caught_and_scrubbed() {
         .expect("post-scrub verify");
 }
 
+/// `SchedulerConfig { verify: true }` handed to `Scheduler::with_config`
+/// switches the checksum sidecar on by itself (no `set_verify` call), so an
+/// injected corruption is caught and scrubbed exactly as above.
+#[test]
+fn config_verify_enables_integrity_and_catches_corruption() {
+    let config = SchedulerConfig {
+        verify: true,
+        ..base_config()
+    };
+    let mut sched = scheduler(10, 10, 0, Box::new(FirstFit), config);
+    assert!(sched.manager().controller().integrity_enabled());
+    sched.set_fault_hook(Some(hook("seed 7\nwrite 1 corrupt")));
+
+    let outcome = load(&mut sched, "fir4");
+    assert!(matches!(outcome, Outcome::Loaded { .. }), "{outcome:?}");
+    let m = sched.metrics();
+    assert_eq!(m.crc_mismatches, 1);
+    assert_eq!(m.verify_scrubs, 1);
+    sched
+        .manager()
+        .controller()
+        .verify_region(vbs_arch::Rect::at_origin(10, 10))
+        .expect("post-scrub verify");
+}
+
 /// The full fleet lifecycle: an outage quarantines the fabric, its resident
 /// is re-placed on the survivor under its original fleet-global id, loads
 /// caught in flight migrate instead of dropping, and recovery returns the

@@ -50,8 +50,8 @@ fn full_memory_image(sched: &Scheduler) -> vbs_bitstream::TaskBitstream {
 /// Differential: a K=1 fleet must replay a trace bit-identically to the
 /// plain single-fabric scheduler — same counters (modulo wall-clock decode
 /// time), same cache behavior, and the same final configuration memory,
-/// for every shard policy. This pins down that the decode pipeline's
-/// staged handoff changes *when* streams are decoded but nothing else.
+/// for every shard policy. This pins down that a fleet round is exactly
+/// the single scheduler's processing plus dispatch bookkeeping.
 #[test]
 fn k1_fleet_is_bit_identical_to_single_scheduler() {
     let trace = overload_trace(80, 2015);
@@ -286,7 +286,7 @@ proptest! {
             k, 9, 7, shard,
             || Box::new(FirstFit) as Box<dyn PlacementPolicy>,
             config,
-            MultiConfig { decode_workers: 2, ..MultiConfig::default() },
+            MultiConfig::default(),
         );
 
         let mut jobs: Vec<u64> = Vec::new();
@@ -329,8 +329,8 @@ proptest! {
                     }
                 }
                 _ => {
-                    // A burst: two loads in one round, exercising the
-                    // decode pipeline's fan-out.
+                    // A burst: two loads in one round, both decoded on
+                    // demand by their fabrics.
                     loads_issued += 2;
                     let a = multi.submit(Request::Load {
                         task: "fir4".into(), priority, deadline: None,

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A pipeline stage whose latency is tracked in its own
 /// [`crate::LatencyHistogram`]. The scheduler records the request stages,
-/// the decode worker pool the lane stages.
+/// the reconfiguration controller the decode stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Stage {
@@ -20,10 +20,10 @@ pub enum Stage {
     CompactionPause,
     /// End-to-end processing of one load request.
     Load,
-    /// One decode lane's busy time within a parallel decode.
+    /// Busy time of one controller decode (lane 0, the caller's thread).
     LaneBusy,
-    /// Re-expanding a warm (compressed-only) cache entry through the pooled
-    /// decode lanes. Also recorded under [`Stage::Decode`] so aggregate
+    /// Re-expanding a warm (compressed-only) cache entry through the
+    /// controller's pooled decode. Also recorded under [`Stage::Decode`] so aggregate
     /// decode latency keeps covering every de-virtualization.
     Redecode,
 }
@@ -87,9 +87,10 @@ pub enum EventKind {
     Unload,
     /// A resident was relocated (`a` = job, `b` = packed destination).
     Relocate,
-    /// A decode lane started its share of a de-virtualization (`a` = lane).
+    /// A controller decode started (`a` = 0).
     DecodeStart,
-    /// A decode lane finished (`a` = records decoded, duration attached).
+    /// A controller decode finished (`a` = records decoded, duration
+    /// attached).
     DecodeEnd,
     /// Decoded frames were written into configuration memory
     /// (`a` = job, `b` = frames, duration attached).

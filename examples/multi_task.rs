@@ -38,10 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Run time: a 26x12 fabric managed dynamically.
     let device = Device::new(ArchSpec::new(10, 6)?, 26, 12)?;
-    let mut manager = TaskManager::new(
-        ReconfigurationController::new(device).with_workers(2),
-        repository,
-    );
+    let mut manager = TaskManager::new(ReconfigurationController::new(device), repository);
 
     let fir = manager.load("fir_filter")?;
     let crc = manager.load("crc_engine")?;
@@ -74,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _ = (fir, huff, crc2);
     println!("{} tasks resident at the end", manager.loaded_tasks().len());
 
-    // Every decode above ran on the controller's 2 pooled lanes: scratches
+    // Every decode above ran on the controller's scratch pool: scratches
     // and staging buffers recycle instead of being allocated per load.
     let pool = manager.controller().scratch_pool().stats();
     println!(

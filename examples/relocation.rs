@@ -37,10 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = Device::new(ArchSpec::new(12, 6)?, 24, 16)?;
     let mut repository = VbsRepository::new();
     repository.store("relocatable", &vbs);
-    let mut manager = TaskManager::new(
-        ReconfigurationController::new(device).with_workers(4),
-        repository,
-    );
+    let mut manager = TaskManager::new(ReconfigurationController::new(device), repository);
 
     // Load the same stream at three different positions.
     for origin in [Coord::new(0, 0), Coord::new(9, 3), Coord::new(16, 8)] {
