@@ -25,7 +25,12 @@
 //!   [`TaskBitstream::reset`] reshapes and pool recycling — the flat
 //!   [`vbs_bitstream::FrameStore`] arena reshapes in place once its word
 //!   capacity covers the largest shape seen, where the legacy per-frame
-//!   layout allocated one `Vec` per frame whenever the mix grew.
+//!   layout allocated one `Vec` per frame whenever the mix grew;
+//! * a whole **placement step** on a fragmented 100×100 fabric with ~95
+//!   residents allocates nothing once warm: every placement policy's
+//!   search, the occupancy-index update on load, unload and relocation, the
+//!   fragmentation/utilization sample, and the cache-key spec lookup of a
+//!   cache hit.
 //!
 //! Everything runs inside one `#[test]` because the counters are
 //! process-global and the harness runs tests concurrently.
@@ -33,7 +38,9 @@
 use vbs_bench::{allocations, CountingAllocator};
 use vbs_bitstream::TaskBitstream;
 use vbs_core::{decode_into, DecodeScratch};
-use vbs_runtime::ReconfigurationController;
+use vbs_runtime::{
+    BestFit, BottomLeftSkyline, FirstFit, PlacementPolicy, ReconfigurationController, TaskManager,
+};
 use vbs_sched::BitstreamPool;
 use vbs_telemetry::{Stage, Telemetry};
 
@@ -220,4 +227,88 @@ fn decode_hot_path_allocation_budget() {
         stats.fresh, 0,
         "every checkout must hit the recycled buffer"
     );
+
+    placement_step_allocation_budget(&repository);
+}
+
+/// A scheduler step's placement work on a fragmented 100×100 fabric with
+/// ~95 residents: after one warm-up round, none of it allocates.
+fn placement_step_allocation_budget(repository: &vbs_runtime::VbsRepository) {
+    let names = ["fir_filter", "crc_engine", "aes_round", "fft_stage"];
+    let device = vbs_bench::sched_workload::sched_device(100, 100);
+    let mut manager = TaskManager::new(ReconfigurationController::new(device), repository.clone());
+    let decoded: Vec<TaskBitstream> = names
+        .iter()
+        .map(|name| {
+            let vbs = repository.fetch(name).expect("workload task");
+            manager.controller().devirtualize(&vbs).expect("decode").0
+        })
+        .collect();
+    // 190 first-fit loads, then every other one unloaded: ~95 residents
+    // with holes all over the fabric.
+    let mut handles = Vec::new();
+    for i in 0..190 {
+        let task = &decoded[i % decoded.len()];
+        let origin = manager
+            .find_free_region(task.width(), task.height())
+            .expect("the fabric has room");
+        handles.push(
+            manager
+                .load_decoded_at(names[i % names.len()], task, origin)
+                .expect("load"),
+        );
+    }
+    for handle in handles.iter().skip(1).step_by(2) {
+        manager.unload(*handle).expect("unload");
+    }
+    let residents: Vec<vbs_arch::Rect> = manager.loaded_tasks().iter().map(|t| t.region).collect();
+    assert_eq!(residents.len(), 95);
+    let policies: [&dyn PlacementPolicy; 3] = [&FirstFit, &BestFit, &BottomLeftSkyline];
+
+    let mut index = manager.occupancy().clone();
+    let mut step = |manager: &mut TaskManager| {
+        let mut found = 0;
+        for policy in policies {
+            for task in &decoded {
+                found += policy
+                    .place(task.width(), task.height(), manager.occupancy())
+                    .is_some() as usize;
+            }
+        }
+        // Index upkeep: each resident's region freed (unload) and taken
+        // again (load) on a copy of the index, and one resident moved to
+        // the fabric's top-right corner and back through the manager.
+        for region in &residents {
+            index.clear(region);
+            index.settle();
+            index.mark(region);
+            index.settle();
+        }
+        let (handle, region) = (handles[0], residents[0]);
+        let corner = vbs_arch::Coord::new(100 - region.width, 100 - region.height);
+        manager.relocate(handle, corner).expect("relocate");
+        manager
+            .relocate(handle, region.origin)
+            .expect("relocate back");
+        // The per-request sample and a cache hit's key lookup.
+        let occupancy = manager.occupancy();
+        let sample = occupancy.fragmentation()
+            + occupancy.free_area() as f64 / occupancy.total_area() as f64;
+        let spec = manager.repository().spec(names[0]).expect("stored stream");
+        (found, sample, spec)
+    };
+    step(&mut manager);
+    let before = allocations();
+    let (found, sample, _) = step(&mut manager);
+    let steady = allocations() - before;
+    assert_eq!(
+        steady,
+        0,
+        "a placement step (3 policies x 4 shapes, {} index updates, 2 relocations, \
+         1 sample, 1 spec lookup) must not allocate, got {steady}",
+        2 * residents.len()
+    );
+    assert_eq!(found, 12, "every policy finds room for every task");
+    assert!(sample > 0.0);
+    assert_eq!(index.free_area(), manager.occupancy().free_area());
 }

@@ -20,8 +20,12 @@
 //!   images), so steady-state loads perform zero heap allocations;
 //! * [`TaskManager`] — on-line placement of tasks on the fabric: finds a free
 //!   rectangle, loads, unloads and relocates running tasks;
-//! * [`placement`] — pluggable placement policies (first-fit, best-fit,
-//!   bottom-left skyline) plus the occupancy/fragmentation view they share.
+//! * [`placement`] — the incremental [`Occupancy`] index (bit-rows the task
+//!   manager updates on every load, unload and move) and the pluggable
+//!   placement policies (first-fit, best-fit, bottom-left skyline) and
+//!   fragmentation metrics that query it;
+//! * [`oracle`] — the rectangle-list reference model the differential
+//!   tests check the index and the policies against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +34,7 @@ mod controller;
 mod error;
 mod fault;
 mod manager;
+pub mod oracle;
 pub mod placement;
 mod pool;
 mod repository;
@@ -38,6 +43,6 @@ pub use controller::{DecodeReport, ReconfigurationController};
 pub use error::RuntimeError;
 pub use fault::{FaultAction, FaultHook};
 pub use manager::{LoadedTask, TaskHandle, TaskManager};
-pub use placement::{BestFit, BottomLeftSkyline, FabricId, FabricView, FirstFit, PlacementPolicy};
+pub use placement::{BestFit, BottomLeftSkyline, FabricId, FirstFit, Occupancy, PlacementPolicy};
 pub use pool::{ScratchPool, ScratchPoolStats};
 pub use repository::VbsRepository;

@@ -3,7 +3,7 @@
 
 use crate::controller::ReconfigurationController;
 use crate::error::RuntimeError;
-use crate::placement::{FabricId, FabricView, FirstFit, PlacementPolicy};
+use crate::placement::{FabricId, FirstFit, Occupancy, PlacementPolicy};
 use crate::pool::ScratchPool;
 use crate::repository::VbsRepository;
 use vbs_arch::{Coord, Rect};
@@ -25,7 +25,9 @@ pub struct LoadedTask {
 }
 
 /// The on-line manager: keeps track of which rectangles of the fabric are
-/// busy, picks a position for each incoming task through a pluggable
+/// busy (the loaded-task list plus its [`Occupancy`] index, updated in
+/// place on every load, unload and move), picks a position for each
+/// incoming task through a pluggable
 /// [`PlacementPolicy`] (first-fit bottom-left by default) and drives the
 /// [`ReconfigurationController`] to load, unload and relocate tasks.
 /// Relocation reuses the *same* Virtual Bit-Stream — no offline
@@ -36,22 +38,27 @@ pub struct TaskManager {
     controller: ReconfigurationController,
     repository: VbsRepository,
     loaded: Vec<LoadedTask>,
+    /// The loaded regions as bit-rows: always exactly the union of
+    /// `loaded`'s regions, settled after every change so the scheduler's
+    /// per-request fragmentation sample is a read.
+    occupancy: Occupancy,
     next_handle: u64,
     policy: Box<dyn PlacementPolicy>,
-    fabric_id: FabricId,
 }
 
 impl TaskManager {
     /// Creates a manager over a controller and a task repository, placing
     /// with [`FirstFit`] and describing fabric 0.
     pub fn new(controller: ReconfigurationController, repository: VbsRepository) -> Self {
+        let device = controller.device();
+        let occupancy = Occupancy::new(device.width(), device.height());
         TaskManager {
             controller,
             repository,
             loaded: Vec::new(),
+            occupancy,
             next_handle: 1,
             policy: Box::new(FirstFit),
-            fabric_id: FabricId::default(),
         }
     }
 
@@ -62,15 +69,15 @@ impl TaskManager {
     }
 
     /// Tags this manager's device as one fabric of a multi-fabric fleet;
-    /// [`TaskManager::fabric_view`] snapshots carry the id.
+    /// its [`Occupancy`] index carries the id.
     pub fn with_fabric_id(mut self, id: FabricId) -> Self {
-        self.fabric_id = id;
+        self.occupancy = self.occupancy.with_id(id);
         self
     }
 
     /// The fabric this manager drives.
     pub const fn fabric_id(&self) -> FabricId {
-        self.fabric_id
+        self.occupancy.id()
     }
 
     /// The active placement policy.
@@ -78,15 +85,10 @@ impl TaskManager {
         self.policy.as_ref()
     }
 
-    /// A snapshot of the fabric occupancy (device size + loaded regions).
-    pub fn fabric_view(&self) -> FabricView {
-        let device = self.controller.device();
-        FabricView::new(
-            device.width(),
-            device.height(),
-            self.loaded.iter().map(|t| t.region).collect(),
-        )
-        .with_id(self.fabric_id)
+    /// The fabric's occupancy index (device size + busy macros), kept in
+    /// step with [`TaskManager::loaded_tasks`].
+    pub fn occupancy(&self) -> &Occupancy {
+        &self.occupancy
     }
 
     /// The tasks currently loaded, in load order.
@@ -123,6 +125,7 @@ impl TaskManager {
     /// fabric. Returns the abandoned residents, oldest first, so the
     /// caller can re-place them elsewhere.
     pub fn evacuate(&mut self) -> Vec<LoadedTask> {
+        self.occupancy.clear_all();
         std::mem::take(&mut self.loaded)
     }
 
@@ -196,6 +199,8 @@ impl TaskManager {
             .position(|t| t.handle == handle)
             .ok_or(RuntimeError::UnknownHandle { id: handle.0 })?;
         let task = self.loaded.remove(index);
+        self.occupancy.clear(&task.region);
+        self.occupancy.settle();
         self.controller.unload(task.region)?;
         Ok(())
     }
@@ -259,6 +264,10 @@ impl TaskManager {
         let handle = self.loaded[index].handle;
         self.ensure_region_free(&new_region, Some(handle))?;
         self.controller.move_region(old_region, origin)?;
+        self.occupancy.clear(&old_region);
+        self.occupancy.settle();
+        self.occupancy.mark(&new_region);
+        self.occupancy.settle();
         self.loaded[index].region = new_region;
         Ok(())
     }
@@ -266,14 +275,21 @@ impl TaskManager {
     /// Searches a free `width` × `height` rectangle with the active
     /// placement policy.
     pub fn find_free_region(&self, width: u16, height: u16) -> Option<Coord> {
-        self.policy.place(width, height, &self.fabric_view())
+        self.policy.place(width, height, &self.occupancy)
     }
 
+    /// Fails with the region of a loaded task (other than `ignoring`) that
+    /// overlaps `region`. The index answers the common all-clear case; the
+    /// task list names the blocker (and judges zero-area and off-fabric
+    /// regions, which the index cannot attribute to a task).
     fn ensure_region_free(
         &self,
         region: &Rect,
         ignoring: Option<TaskHandle>,
     ) -> Result<(), RuntimeError> {
+        if region.area() > 0 && self.occupancy.is_free(region) {
+            return Ok(());
+        }
         if let Some(busy) = self
             .loaded
             .iter()
@@ -289,6 +305,8 @@ impl TaskManager {
     fn register(&mut self, name: &str, region: Rect) -> TaskHandle {
         let handle = TaskHandle(self.next_handle);
         self.next_handle += 1;
+        self.occupancy.mark(&region);
+        self.occupancy.settle();
         self.loaded.push(LoadedTask {
             handle,
             name: name.to_string(),

@@ -127,6 +127,14 @@ struct Manifest {
     traces: Vec<(String, String)>,
 }
 
+/// Parses a numeric manifest field as the integer type it is stored in: a
+/// value out of that type's range is rejected, never truncated.
+fn num<T: std::str::FromStr>(field: &str, what: &str) -> Result<T, String> {
+    field
+        .parse()
+        .map_err(|_| format!("invalid {what} `{field}`"))
+}
+
 fn parse_manifest(text: &str) -> Result<Manifest, CorpusError> {
     let mut arch: Option<(u16, u8)> = None;
     let mut single: Option<(u16, u16)> = None;
@@ -143,32 +151,33 @@ fn parse_manifest(text: &str) -> Result<Manifest, CorpusError> {
             reason,
         };
         let fields: Vec<&str> = line.split_whitespace().collect();
-        let num = |field: &str, what: &str| -> Result<u64, CorpusError> {
-            field
-                .parse()
-                .map_err(|_| err(format!("invalid {what} `{field}`")))
-        };
         match fields.as_slice() {
             ["arch", w, k] => {
-                arch = Some((num(w, "channel width")? as u16, num(k, "lut size")? as u8));
+                arch = Some((
+                    num(w, "channel width").map_err(err)?,
+                    num(k, "lut size").map_err(err)?,
+                ));
             }
             ["single", w, h] => {
-                single = Some((num(w, "width")? as u16, num(h, "height")? as u16));
+                single = Some((
+                    num(w, "width").map_err(err)?,
+                    num(h, "height").map_err(err)?,
+                ));
             }
             ["fleet", k, w, h] => {
                 fleet = Some((
-                    num(k, "fleet size")? as usize,
-                    num(w, "width")? as u16,
-                    num(h, "height")? as u16,
+                    num(k, "fleet size").map_err(err)?,
+                    num(w, "width").map_err(err)?,
+                    num(h, "height").map_err(err)?,
                 ));
             }
             ["task", name, file, w, h, luts] => {
                 tasks.push(CorpusTask {
                     name: (*name).to_string(),
                     file: (*file).to_string(),
-                    width: num(w, "width")? as u16,
-                    height: num(h, "height")? as u16,
-                    luts: num(luts, "lut count")? as usize,
+                    width: num(w, "width").map_err(err)?,
+                    height: num(h, "height").map_err(err)?,
+                    luts: num(luts, "lut count").map_err(err)?,
                 });
             }
             ["trace", name, file] => {

@@ -284,12 +284,12 @@ impl MultiFabricScheduler {
 
     fn statuses(&self, task: &str) -> Vec<FabricStatus> {
         let status_of = |(i, s): (usize, &Scheduler)| {
-            let view = s.manager().fabric_view();
+            let occupancy = s.manager().occupancy();
             FabricStatus {
                 fabric: i,
-                id: view.id(),
-                free_area: view.free_area(),
-                total_area: view.total_area(),
+                id: occupancy.id(),
+                free_area: occupancy.free_area(),
+                total_area: occupancy.total_area(),
                 queued_loads: s.queued_loads(),
                 residents: s.manager().loaded_tasks().len(),
                 holds_decoded: s.holds_decoded(task),

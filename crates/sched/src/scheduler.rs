@@ -728,13 +728,15 @@ impl Scheduler {
     pub fn compact(&mut self) -> usize {
         let pause_start = self.telemetry.now();
         self.counters.add(slot::COMPACTION_PASSES, 1);
-        let view = self.manager.fabric_view();
 
-        // Phase 1 — plan: replay the greedy sweeps on rectangles only.
-        // `sim` holds (job, current simulated region); each sweep offers
-        // every task the best strictly-better origin with all other tasks
+        // Phase 1 — plan: replay the greedy sweeps on a copy of the
+        // occupancy index. `sim` holds (job, current simulated region) and
+        // `planned` the simulated layout; each sweep lifts one task out,
+        // offers it the best strictly-better origin with all other tasks
         // at their *simulated* positions, exactly as live sweeps would see
-        // them, until no task improves (bounded like the old executor).
+        // them, and puts it back, until no task improves (bounded like the
+        // old executor).
+        let mut planned = self.manager.occupancy().clone();
         let mut sim: Vec<(u64, Rect)> = {
             let mut residents = self.residents();
             residents.sort_by_key(|r| (r.region.origin.y, r.region.origin.x));
@@ -744,22 +746,19 @@ impl Scheduler {
         for _ in 0..4 {
             let mut moved = false;
             sim.sort_by_key(|(_, region)| (region.origin.y, region.origin.x));
-            for i in 0..sim.len() {
-                let (width, height) = (sim[i].1.width, sim[i].1.height);
-                let others: Vec<Rect> = sim
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, &(_, region))| region)
-                    .collect();
-                let masked = vbs_runtime::FabricView::new(view.width(), view.height(), others);
-                if let Some(candidate) = self.manager.policy().place(width, height, &masked) {
-                    let current = sim[i].1.origin;
-                    if (candidate.y, candidate.x) < (current.y, current.x) {
-                        sim[i].1 = Rect::new(candidate, width, height);
+            for (_, region) in &mut sim {
+                planned.clear(region);
+                if let Some(candidate) =
+                    self.manager
+                        .policy()
+                        .place(region.width, region.height, &planned)
+                {
+                    if (candidate.y, candidate.x) < (region.origin.y, region.origin.x) {
+                        *region = Rect::new(candidate, region.width, region.height);
                         moved = true;
                     }
                 }
+                planned.mark(region);
             }
             if !moved {
                 break;
@@ -855,21 +854,26 @@ impl Scheduler {
     /// A warm hit accounts exactly like a miss in the classic counters
     /// (miss + decode + decode micros) — that invariance is what keeps
     /// every golden trace bit-identical under any budget — and
-    /// *additionally* bumps the warm-hit counters. It still fetches from
-    /// the repository first: the repository owns the authoritative bytes,
-    /// so a stream corrupted there surfaces as the same decode error a
-    /// cold miss would report instead of being masked by stale cache state.
+    /// *additionally* bumps the warm-hit counters. The cache is keyed on
+    /// the repository's validated spec of the stream
+    /// ([`vbs_runtime::VbsRepository::spec`], parsed once per stored
+    /// stream), so a hot hit never re-parses the VBS, while the repository
+    /// still owns the authoritative bytes: a stream corrupted there fails
+    /// that validation and surfaces as the same decode error a cold miss
+    /// would report instead of being masked by stale cache state. Only a
+    /// miss or a warm hit fetches (parses) the stream in full.
     fn decoded(
         &mut self,
         job: u64,
         name: &str,
     ) -> Result<(Arc<TaskBitstream>, bool), RuntimeError> {
-        let vbs = self.manager.repository().fetch(name)?;
-        let warm = match self.cache.get(name, vbs.spec()) {
+        let spec = self.manager.repository().spec(name)?;
+        let warm = match self.cache.get(name, &spec) {
             CacheLookup::Hot(cached) => return Ok((cached, true)),
             CacheLookup::Warm => true,
             CacheLookup::Miss => false,
         };
+        let vbs = self.manager.repository().fetch(name)?;
         let redecode_start = self.telemetry.now();
         let mut staging = self
             .pool
@@ -1271,27 +1275,23 @@ impl Scheduler {
     /// failed rectangle masked busy, so an answer is always a different
     /// spot.
     fn replacement_origin(&self, width: u16, height: u16, failed: Coord) -> Option<Coord> {
-        let view = self.manager.fabric_view();
-        let mut busy: Vec<Rect> = self
-            .manager
-            .loaded_tasks()
-            .iter()
-            .map(|t| t.region)
-            .collect();
-        busy.push(Rect::new(failed, width, height));
-        let masked = vbs_runtime::FabricView::new(view.width(), view.height(), busy);
+        let mut masked = self.manager.occupancy().clone();
+        masked.mark(&Rect::new(failed, width, height));
         self.manager.policy().place(width, height, &masked)
     }
 
+    /// Folds one fragmentation/utilization sample into the counters: a
+    /// read of the occupancy index, whose largest free rectangle is kept
+    /// current by every load, unload and move.
     fn sample_fragmentation(&mut self) {
-        let view = self.manager.fabric_view();
-        let fragmentation = view.fragmentation();
+        let occupancy = self.manager.occupancy();
+        let fragmentation = occupancy.fragmentation();
         self.counters.add(slot::FRAGMENTATION_SAMPLES, 1);
         self.counters
             .float_add(slot::FRAGMENTATION_SUM, fragmentation);
-        let total = view.total_area();
+        let total = occupancy.total_area();
         if total > 0 {
-            let utilization = 1.0 - view.free_area() as f64 / total as f64;
+            let utilization = 1.0 - occupancy.free_area() as f64 / total as f64;
             self.counters.float_add(slot::UTILIZATION_SUM, utilization);
             // One utilization sample per processed request: the per-fabric
             // occupancy timeline (per-mille payloads keep the event fixed

@@ -132,7 +132,7 @@ pub fn replay(scheduler: &mut Scheduler, trace: &Trace) -> SimReport {
         events: trace.events.len(),
         sched: metrics_delta(scheduler.metrics(), &sched_before),
         cache: cache_delta(scheduler.cache_stats(), cache_before),
-        final_fragmentation: scheduler.manager().fabric_view().fragmentation(),
+        final_fragmentation: scheduler.manager().occupancy().fragmentation(),
         departures_already_gone: already_gone,
     }
 }
@@ -365,7 +365,7 @@ pub fn replay_multi(multi: &mut MultiFabricScheduler, trace: &Trace) -> MultiSim
             id: fabric.manager().fabric_id(),
             sched: metrics_delta(fabric.metrics(), &sched_before[i]),
             cache: cache_delta(fabric.cache_stats(), cache_before[i]),
-            final_fragmentation: fabric.manager().fabric_view().fragmentation(),
+            final_fragmentation: fabric.manager().occupancy().fragmentation(),
         })
         .collect();
     MultiSimReport {

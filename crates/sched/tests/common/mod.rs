@@ -6,7 +6,7 @@
 #![allow(dead_code)]
 
 use std::sync::OnceLock;
-use vbs_arch::{ArchSpec, Coord, Device};
+use vbs_arch::{ArchSpec, Coord, Device, Rect};
 use vbs_flow::CadFlow;
 use vbs_netlist::generate::SyntheticSpec;
 use vbs_runtime::{
@@ -126,12 +126,23 @@ pub fn assert_fabric_invariants(sched: &Scheduler) {
     for y in 0..device.height() {
         for x in 0..device.width() {
             let at = Coord::new(x, y);
-            if !tasks.iter().any(|t| t.region.contains(at)) {
+            let loaded = tasks.iter().any(|t| t.region.contains(at));
+            if !loaded {
                 assert!(
                     manager.controller().memory().frame(at).is_empty(),
                     "macro {at} configured outside any resident region"
                 );
             }
+            assert_eq!(
+                manager.occupancy().is_free(&Rect::new(at, 1, 1)),
+                !loaded,
+                "occupancy index disagrees with the loaded tasks at {at}"
+            );
         }
     }
+    assert_eq!(
+        manager.occupancy().free_area(),
+        device.width() as u32 * device.height() as u32 - occupied_area,
+        "occupancy index lost track of the free area"
+    );
 }

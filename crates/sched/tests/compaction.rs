@@ -22,7 +22,8 @@ mod common;
 
 use common::{assert_fabric_invariants, scheduler, TASKS};
 use vbs_arch::{Coord, Rect};
-use vbs_runtime::{BestFit, FabricView, FirstFit};
+use vbs_runtime::oracle::FabricView;
+use vbs_runtime::{BestFit, FirstFit};
 use vbs_sched::{Outcome, Request, Scheduler, SchedulerConfig};
 
 fn full_memory_image(sched: &Scheduler) -> vbs_bitstream::TaskBitstream {
@@ -71,20 +72,22 @@ fn greedy_compact(sched: &mut Scheduler) -> (usize, u64) {
         let mut residents = sched.residents();
         residents.sort_by_key(|r| (r.region.origin.y, r.region.origin.x));
         for info in residents {
-            let view = sched.manager().fabric_view();
-            let others: Vec<Rect> = view
-                .occupied()
+            // The reference placement runs on the rectangle-list oracle,
+            // independent of the occupancy index the planner uses.
+            let others: Vec<Rect> = sched
+                .manager()
+                .loaded_tasks()
                 .iter()
-                .copied()
+                .map(|t| t.region)
                 .filter(|r| *r != info.region)
                 .collect();
-            let masked = FabricView::new(view.width(), view.height(), others);
-            let Some(candidate) =
-                sched
-                    .manager()
-                    .policy()
-                    .place(info.region.width, info.region.height, &masked)
-            else {
+            let device = sched.manager().controller().device();
+            let masked = FabricView::new(device.width(), device.height(), others);
+            let Some(candidate) = masked.place(
+                sched.manager().policy(),
+                info.region.width,
+                info.region.height,
+            ) else {
                 continue;
             };
             if (candidate.y, candidate.x) >= (info.region.origin.y, info.region.origin.x) {

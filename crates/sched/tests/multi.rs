@@ -381,7 +381,7 @@ proptest! {
         for fabric in multi.fabrics() {
             assert_fabric_invariants(fabric);
             prop_assert_eq!(fabric.manager().controller().memory().occupied_macros(), 0);
-            prop_assert_eq!(fabric.manager().fabric_view().free_area(), 9 * 7);
+            prop_assert_eq!(fabric.manager().occupancy().free_area(), 9 * 7);
         }
         prop_assert!(multi.residents().is_empty());
     }

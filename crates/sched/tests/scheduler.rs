@@ -10,8 +10,8 @@ use vbs_runtime::{
     BestFit, FirstFit, PlacementPolicy, ReconfigurationController, TaskManager, VbsRepository,
 };
 use vbs_sched::{
-    replay, LruEviction, Outcome, PriorityEviction, Request, Scheduler, SchedulerConfig, Trace,
-    WorkloadSpec,
+    replay, LruEviction, Outcome, PriorityEviction, RejectReason, Request, Scheduler,
+    SchedulerConfig, Trace, WorkloadSpec,
 };
 
 /// Task set shared by every test in this file: (name, LUTs, grid edge, seed).
@@ -345,6 +345,60 @@ fn cache_invalidation_after_reregistration() {
         .devirtualize(&replacement)
         .unwrap();
     assert_eq!(image.diff_count(&fresh).unwrap(), 0);
+}
+
+/// Corrupted bytes stored under a cached task's name are rejected even
+/// without `invalidate_cached`: the cache is keyed on the repository's
+/// validation of the *current* bytes, so a hot entry cannot mask them, and
+/// the rejection carries the same decode error a cold fetch reports.
+#[test]
+fn corrupted_restore_is_rejected_despite_a_hot_cache_entry() {
+    let mut sched = scheduler(12, 8, Box::new(FirstFit), SchedulerConfig::default());
+    let load = || Request::Load {
+        task: "fir4".into(),
+        priority: 0,
+        deadline: None,
+    };
+    let first = sched.execute(load());
+    let Outcome::Loaded { job, .. } = first else {
+        panic!("load failed: {first:?}");
+    };
+    sched.execute(Request::Unload { job });
+    let hit = sched.execute(load());
+    let Outcome::Loaded {
+        job,
+        cache_hit: true,
+        ..
+    } = hit
+    else {
+        panic!("second load must be a cache hit: {hit:?}");
+    };
+    sched.execute(Request::Unload { job });
+
+    let bytes = sched.manager().repository().bytes("fir4").unwrap();
+    let corrupt = bytes[..bytes.len() / 2].to_vec();
+    let mut cold = VbsRepository::new();
+    cold.store_bytes("fir4", corrupt.clone());
+    let expected = cold.fetch("fir4").unwrap_err().to_string();
+    sched.repository_mut().store_bytes("fir4", corrupt);
+
+    let stats = sched.cache_stats();
+    let rejected = sched.execute(load());
+    let Outcome::Rejected {
+        reason: RejectReason::Runtime(message),
+        evicted,
+        ..
+    } = rejected
+    else {
+        panic!("corrupted stream was not rejected: {rejected:?}");
+    };
+    assert_eq!(message, expected);
+    assert!(evicted.is_empty());
+    assert_eq!(
+        sched.cache_stats(),
+        stats,
+        "a rejected stream must not touch the cache"
+    );
 }
 
 /// `touch` refreshes a resident's LRU stamp and changes the eviction order.

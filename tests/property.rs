@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use vbs_repro::arch::{ArchSpec, Coord, Device, MacroIo, Side};
+use vbs_repro::arch::{ArchSpec, Coord, Device, MacroIo, Rect, Side};
 use vbs_repro::flow::CadFlow;
 use vbs_repro::netlist::generate::SyntheticSpec;
 use vbs_repro::netlist::TruthTable;
@@ -65,12 +65,18 @@ fn assert_fabric_invariants(sched: &Scheduler) {
     for y in 0..device.height() {
         for x in 0..device.width() {
             let at = Coord::new(x, y);
-            if !tasks.iter().any(|t| t.region.contains(at)) {
+            let loaded = tasks.iter().any(|t| t.region.contains(at));
+            if !loaded {
                 assert!(
                     manager.controller().memory().frame(at).is_empty(),
                     "macro {at} configured outside any loaded region"
                 );
             }
+            assert_eq!(
+                manager.occupancy().is_free(&Rect::new(at, 1, 1)),
+                !loaded,
+                "occupancy index disagrees with the loaded tasks at {at}"
+            );
         }
     }
 }
@@ -259,8 +265,8 @@ proptest! {
         }
         assert_fabric_invariants(&sched);
         prop_assert_eq!(sched.manager().controller().memory().occupied_macros(), 0);
-        let view = sched.manager().fabric_view();
-        prop_assert_eq!(view.free_area(), 9 * 7);
-        prop_assert_eq!(view.fragmentation(), 0.0);
+        let occupancy = sched.manager().occupancy();
+        prop_assert_eq!(occupancy.free_area(), 9 * 7);
+        prop_assert_eq!(occupancy.fragmentation(), 0.0);
     }
 }
